@@ -15,14 +15,15 @@
 // --stream replaces the one-shot recovery with a continuous drift stream
 // (docs/adaptive.md): after an instantaneous data drift, every tick
 // estimates one live query, executes it (the execution-feedback hook
-// publishes the truth into an adapt::FeedbackBus), and the bus fans out to
-// both recovery paths — the Retrainer (retrain-only baseline) and the
-// adapt::AdaptiveEstimator (kNN + residual tiers in front of the SAME
-// shared ServingEstimator). A route-aligned holdout is scored every few
-// ticks; the report (kind "drift_stream", tools/bench_schema.json) records
-// how many ticks each path needed to recover. With --deterministic the
-// report zeroes timings and records threads=0, so the bytes are identical
-// at every QFCARD_THREADS (feedback order is the serial tick loop).
+// publishes the truth into an adapt::FeedbackBus), and the bus feeds both
+// recovery paths — the Retrainer (retrain-only baseline), which trains on
+// the bus window, and the adapt::AdaptiveEstimator (kNN + residual tiers in
+// front of the SAME shared ServingEstimator), which subscribes to it. A
+// route-aligned holdout is scored every few ticks; the report (kind
+// "drift_stream", tools/bench_schema.json) records how many ticks each path
+// needed to recover. With --deterministic the report zeroes timings and
+// records threads=0, so the bytes are identical at every QFCARD_THREADS
+// (feedback order is the serial tick loop).
 
 #include <algorithm>
 #include <cmath>
@@ -38,6 +39,14 @@
 
 namespace qfcard::bench {
 namespace {
+
+/// Bus window for both recovery modes: the Retrainer trains on the 4096 most
+/// recent feedback records.
+adapt::FeedbackBusOptions FeedbackWindow() {
+  adapt::FeedbackBusOptions opts;
+  opts.capacity = 4096;
+  return opts;
+}
 
 void Run() {
   workload::ForestOptions fopts;
@@ -194,16 +203,22 @@ void Run() {
   recovery.AddRow({"serve stale v1 on drifted data", "-",
                    eval::FormatQ(stale_p95), "pre-recovery baseline"});
 
-  serve::RetrainerOptions ropts;
+  // The drifted feedback is published once; both retrainers below train on
+  // the same bus window.
+  adapt::FeedbackBus bus(FeedbackWindow());
+  for (const workload::LabeledQuery& lq : feedback) {
+    adapt::FeedbackRecord record;
+    record.query = lq.query;
+    record.true_card = lq.card;
+    bus.Publish(std::move(record));
+  }
+  adapt::RetrainerOptions ropts;
   ropts.estimator_name = "gb+complex";
   ropts.estimator_opts = eopts;
   ropts.store = &store;
-  serve::Retrainer retrainer(&serving, &catalog, ropts);
-  for (const workload::LabeledQuery& lq : feedback) {
-    retrainer.AddFeedback(lq.query, lq.card);
-  }
+  adapt::Retrainer retrainer(&serving, &catalog, &bus, ropts);
   obs::ScopedTimer retrain_timer;
-  const serve::RetrainResult promoted = retrainer.RetrainNow().value();
+  const adapt::RetrainResult promoted = retrainer.RetrainNow().value();
   recovery.AddRow(
       {"retrain + promote (gb+complex)",
        common::StrFormat("%.2fs", retrain_timer.Seconds()),
@@ -222,15 +237,12 @@ void Run() {
 
   // The gate's other half: a linear model cannot beat the fresh GB on the
   // same feedback, so the retrainer must refuse to swap it in.
-  serve::RetrainerOptions weak = ropts;
+  adapt::RetrainerOptions weak = ropts;
   weak.estimator_name = "linear+complex";
-  serve::Retrainer weak_retrainer(&serving, &catalog, weak);
-  for (const workload::LabeledQuery& lq : feedback) {
-    weak_retrainer.AddFeedback(lq.query, lq.card);
-  }
+  adapt::Retrainer weak_retrainer(&serving, &catalog, &bus, weak);
   const uint64_t swaps_before = serving.SwapCount();
   obs::ScopedTimer weak_timer;
-  const serve::RetrainResult rejected = weak_retrainer.RetrainNow().value();
+  const adapt::RetrainResult rejected = weak_retrainer.RetrainNow().value();
   recovery.AddRow(
       {"weak candidate (linear+complex)",
        common::StrFormat("%.2fs", weak_timer.Seconds()),
@@ -402,10 +414,11 @@ int RunStream(const StreamFlags& flags) {
   // Both recovery paths share ONE ServingEstimator: retrain swaps land
   // under the adaptive front too, so the report isolates what the online
   // tiers add on top of (not instead of) the paper's retrain loop.
-  serve::RetrainerOptions ropts;
+  adapt::FeedbackBus bus(FeedbackWindow());
+  adapt::RetrainerOptions ropts;
   ropts.estimator_name = "gb+complex";
   ropts.estimator_opts = eopts;
-  serve::Retrainer retrainer(serving.get(), &catalog, ropts);
+  adapt::Retrainer retrainer(serving.get(), &catalog, &bus, ropts);
 
   adapt::AdaptiveOptions aopts;
   aopts.mode = adapt::AdaptiveMode::kAuto;
@@ -415,11 +428,6 @@ int RunStream(const StreamFlags& flags) {
   adapt::AdaptiveEstimator adaptive(base, serving, featurizer, aopts);
   adaptive.TrackServingVersion(serving.get());
 
-  adapt::FeedbackBus bus;
-  const uint64_t retrain_sub =
-      bus.Subscribe([&retrainer](const adapt::FeedbackRecord& r) {
-        retrainer.AddFeedback(r.query, r.true_card);
-      });
   adaptive.ConnectTo(&bus);
 
   // Baseline before any feedback: both paths serve the stale v1 model
@@ -441,7 +449,7 @@ int RunStream(const StreamFlags& flags) {
 
   obs::ScopedTimer wall_timer;
   const int swap_tick = ticks * 3 / 5;
-  serve::RetrainResult retrain_result;
+  adapt::RetrainResult retrain_result;
   int tiers_r = 0, tiers_k = 0, tiers_m = 0;
   {
     // From here on, every executed count(*) feeds the bus.
@@ -459,8 +467,8 @@ int RunStream(const StreamFlags& flags) {
         case est::ServedTier::kKnn: ++tiers_k; break;
         default: ++tiers_m; break;
       }
-      // Execute: the hook publishes (query, truth) into the bus, which fans
-      // out to the retrainer and the adaptive learners.
+      // Execute: the hook publishes (query, truth) into the bus, which keeps
+      // it for the retrainer and fans it out to the adaptive learners.
       QFCARD_CHECK_OK(query::Executor::Count(drifted, q).status());
 
       // The retrain-only path recovers the paper's way: one full rebuild
@@ -498,7 +506,6 @@ int RunStream(const StreamFlags& flags) {
   }
   const double wall_seconds = flags.deterministic ? 0.0 : wall_timer.Seconds();
   adaptive.Disconnect();
-  bus.Unsubscribe(retrain_sub);
 
   // Tier arbitration history — the greppable promotion evidence.
   const std::vector<adapt::TierArbiter::TierSwitch> switches =

@@ -2,8 +2,9 @@
 //
 //   1. Train a gradient-boosting estimator on a forest workload, publish it
 //      to a serve::ModelStore, and serve it through a ServingEstimator.
-//   2. Stream labeled traffic through the server; every true cardinality
-//      feeds the Retrainer's feedback window and the q-error drift monitor.
+//   2. Stream labeled traffic through the server; every true cardinality is
+//      published to the adapt::FeedbackBus (whose window the Retrainer
+//      trains on) and feeds the q-error drift monitor.
 //   3. Shift the data distribution (a second forest with different latent
 //      factors) so the monitor flips healthy->degraded, which triggers a
 //      background retrain on the recent feedback.
@@ -55,11 +56,11 @@ Traffic MakeTraffic(const storage::Table& table, int count, uint64_t seed) {
 
 /// Streams one batch through the server via the request/response API
 /// (docs/batch_api.md), reporting p95 q-error and feeding every truth back
-/// into the drift monitor and the retrainer. The responses also carry which
+/// into the drift monitor and the feedback bus. The responses also carry which
 /// model version served the batch, so the label line no longer needs to
 /// query the server separately.
 double ServeBatch(const serve::ServingEstimator& serving,
-                  obs::QErrorDriftMonitor& monitor, serve::Retrainer& retrainer,
+                  obs::QErrorDriftMonitor& monitor, adapt::FeedbackBus& bus,
                   const Traffic& traffic, const char* label) {
   std::vector<est::EstimateRequest> requests(traffic.queries.size());
   for (size_t i = 0; i < traffic.queries.size(); ++i) {
@@ -70,7 +71,10 @@ double ServeBatch(const serve::ServingEstimator& serving,
   // Feedback first, monitor second: if an observation flips the monitor and
   // schedules a retrain, the feedback window already holds the whole batch.
   for (size_t i = 0; i < responses.size(); ++i) {
-    retrainer.AddFeedback(traffic.queries[i], traffic.truths[i]);
+    adapt::FeedbackRecord record;
+    record.query = traffic.queries[i];
+    record.true_card = traffic.truths[i];
+    bus.Publish(std::move(record));
   }
   std::vector<double> qerrors;
   for (size_t i = 0; i < responses.size(); ++i) {
@@ -156,26 +160,28 @@ int main(int argc, char** argv) {
   mopts.p95_threshold = 8.0;
   mopts.min_samples = 30;
   obs::QErrorDriftMonitor monitor(mopts);
-  serve::RetrainerOptions ropts;
+  // Keep only the most recent batch of feedback, so a retrain after the
+  // shift trains on post-shift truths instead of averaging both worlds.
+  adapt::FeedbackBusOptions bopts;
+  bopts.capacity = static_cast<size_t>(traffic_size);
+  adapt::FeedbackBus bus(bopts);
+  adapt::RetrainerOptions ropts;
   ropts.estimator_name = "gb+conjunctive";
   ropts.estimator_opts = eopts;
   ropts.min_feedback = 64;
-  // Keep only the most recent batch of feedback, so a retrain after the
-  // shift trains on post-shift truths instead of averaging both worlds.
-  ropts.max_feedback = static_cast<size_t>(traffic_size);
   ropts.monitor = &monitor;
   ropts.store = &store;
-  serve::Retrainer retrainer(&serving, &catalog, ropts);
+  adapt::Retrainer retrainer(&serving, &catalog, &bus, ropts);
   retrainer.Start();
 
   std::printf("serving '%s' from %s\n\n", serving.name().c_str(),
               store.root().c_str());
-  ServeBatch(serving, monitor, retrainer, live_before, "in-distribution");
+  ServeBatch(serving, monitor, bus, live_before, "in-distribution");
 
   // The world changes: the same traffic shape now reflects the shifted
   // table, the rolling p95 blows through the threshold, and the flip kicks
   // off a background retrain on the feedback gathered above.
-  ServeBatch(serving, monitor, retrainer, live_after, "after data shift");
+  ServeBatch(serving, monitor, bus, live_after, "after data shift");
 
   // Wait for the background run the flip scheduled (bounded); fall back to
   // a synchronous retrain if the threshold was never crossed at this scale.
@@ -187,11 +193,11 @@ int main(int argc, char** argv) {
     (void)retrainer.RetrainNow();
   }
   retrainer.Stop();
-  const serve::RetrainResult result = retrainer.last_result();
+  const adapt::RetrainResult result = retrainer.last_result();
   std::printf("\nretrain: %s (holdout p95 %.2f -> %.2f)\n",
               result.detail.c_str(), result.stale_p95, result.candidate_p95);
 
-  ServeBatch(serving, monitor, retrainer, live_after, "after hot-swap");
+  ServeBatch(serving, monitor, bus, live_after, "after hot-swap");
   std::printf("\nstore now holds %zu version(s); swaps=%llu\n",
               store.ListVersions().value().size(),
               static_cast<unsigned long long>(serving.SwapCount()));

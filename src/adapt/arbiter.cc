@@ -17,13 +17,12 @@ const est::ServedTier kTiers[] = {est::ServedTier::kHistogramResidual,
 
 }  // namespace
 
-TierArbiter::TierArbiter(TierArbiterOptions options) : opts_(options) {}
+TierArbiter::TierArbiter(TierArbiterOptions options)
+    : opts_(options), switch_log_(options.switch_log) {}
 
-double TierArbiter::WindowP95Locked(const TierWindow& w) const {
-  if (w.observed < opts_.min_samples || w.qerrors.empty()) return 0.0;
-  std::vector<double> sorted = w.qerrors;
-  std::sort(sorted.begin(), sorted.end());
-  return common::QuantileSorted(sorted, 0.95);
+double TierArbiter::WindowP95Locked(const common::Ring<double>& w) const {
+  if (w.pushed() < opts_.min_samples) return 0.0;
+  return common::Quantiles(w.Snapshot(), {0.95})[0];
 }
 
 void TierArbiter::EvaluateLocked(uint64_t fss, RouteState* route) {
@@ -39,7 +38,7 @@ void TierArbiter::EvaluateLocked(uint64_t fss, RouteState* route) {
   // a truly empty incumbent window — erased by ResetTier after a model
   // hot-swap — concedes to any measured challenger below.
   if (incumbent_p95 <= 0.0 && incumbent_it != route->windows.end() &&
-      incumbent_it->second.observed > 0) {
+      incumbent_it->second.pushed() > 0) {
     return;
   }
 
@@ -71,11 +70,7 @@ void TierArbiter::EvaluateLocked(uint64_t fss, RouteState* route) {
   sw.from_p95 = incumbent_p95;
   sw.to_p95 = best_p95;
   sw.at_observation = observations_;
-  if (switch_log_.size() >= opts_.switch_log && !switch_log_.empty()) {
-    switch_log_.erase(switch_log_.begin());
-  }
-  switch_log_.push_back(sw);
-  ++switches_;
+  switch_log_.Push(sw);
   route->current = best;
   route->since_switch = 0;
   route->reason = common::StrFormat(
@@ -100,15 +95,9 @@ void TierArbiter::ObserveTier(uint64_t fss, est::ServedTier tier,
     it = routes_.emplace(fss, std::move(fresh)).first;
   }
   RouteState& route = it->second;
-  TierWindow& window = route.windows[static_cast<int>(tier)];
   const double clamped = std::max(qerror, 1.0);
-  if (window.qerrors.size() < opts_.window) {
-    window.qerrors.push_back(clamped);
-  } else if (!window.qerrors.empty()) {
-    window.qerrors[window.next_slot] = clamped;
-    window.next_slot = (window.next_slot + 1) % window.qerrors.size();
-  }
-  ++window.observed;
+  route.windows.try_emplace(static_cast<int>(tier), opts_.window)
+      .first->second.Push(clamped);
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global()
         .HistogramNamed("adapt.qerror", obs::QErrorBounds(),
@@ -144,7 +133,7 @@ void TierArbiter::ResetTier(est::ServedTier tier) {
 
 std::vector<TierArbiter::TierSwitch> TierArbiter::RecentSwitches() const {
   common::MutexLock lock(&mu_);
-  return switch_log_;
+  return switch_log_.Snapshot();
 }
 
 double TierArbiter::TierP95(uint64_t fss, est::ServedTier tier) const {
@@ -158,7 +147,7 @@ double TierArbiter::TierP95(uint64_t fss, est::ServedTier tier) const {
 
 uint64_t TierArbiter::switches() const {
   common::MutexLock lock(&mu_);
-  return switches_;
+  return switch_log_.pushed();
 }
 
 size_t TierArbiter::RouteCount() const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "estimators/request.h"
 
@@ -18,7 +19,7 @@ namespace qfcard::adapt {
 /// shows within tens of observations, hysteresis strong enough that noisy
 /// ties never flap.
 struct TierArbiterOptions {
-  /// Rolling q-error window per (route, tier) — the same shape as
+  /// Rolling q-error window per (route, tier) — the same common::Ring as
   /// obs::QErrorDriftMonitor's window, kept per tier.
   size_t window = 48;
   /// Observations a challenger tier needs in its window before it can be
@@ -94,27 +95,24 @@ class TierArbiter {
   size_t RouteCount() const;
 
  private:
-  struct TierWindow {
-    std::vector<double> qerrors;  // ring, oldest evicted
-    size_t next_slot = 0;
-    size_t observed = 0;
-  };
   struct RouteState {
     est::ServedTier current;
     std::string reason;
-    std::map<int, TierWindow> windows;  // keyed by static_cast<int>(tier)
+    /// Rolling q-errors keyed by static_cast<int>(tier).
+    std::map<int, common::Ring<double>> windows;
     size_t since_switch = 0;  ///< observations since the last switch
   };
 
-  double WindowP95Locked(const TierWindow& w) const QFCARD_REQUIRES(mu_);
+  double WindowP95Locked(const common::Ring<double>& w) const
+      QFCARD_REQUIRES(mu_);
   void EvaluateLocked(uint64_t fss, RouteState* route) QFCARD_REQUIRES(mu_);
 
   const TierArbiterOptions opts_;
 
   mutable common::Mutex mu_;
   std::map<uint64_t, RouteState> routes_ QFCARD_GUARDED_BY(mu_);
-  std::vector<TierSwitch> switch_log_ QFCARD_GUARDED_BY(mu_);
-  uint64_t switches_ QFCARD_GUARDED_BY(mu_) = 0;
+  /// pushed() is the total switch count.
+  common::Ring<TierSwitch> switch_log_ QFCARD_GUARDED_BY(mu_);
   uint64_t observations_ QFCARD_GUARDED_BY(mu_) = 0;
 };
 

@@ -10,7 +10,8 @@
 
 namespace qfcard::adapt {
 
-FeedbackBus::FeedbackBus(FeedbackBusOptions options) : opts_(options) {}
+FeedbackBus::FeedbackBus(FeedbackBusOptions options)
+    : ring_(options.capacity) {}
 
 uint64_t FeedbackBus::Subscribe(Subscriber fn) {
   common::MutexLock lock(&subscribers_mu_);
@@ -40,21 +41,14 @@ void FeedbackBus::Publish(FeedbackRecord record) {
   // fixed feedback order reproduce identical learner state (the repo's
   // byte-identical determinism contract, docs/adaptive.md).
   common::MutexLock sub_lock(&subscribers_mu_);
+  bool dropped = false;
   {
     common::MutexLock lock(&mu_);
-    record.sequence = ++published_;
-    if (ring_.size() < opts_.capacity) {
-      ring_.push_back(record);
-    } else if (!ring_.empty()) {
-      ring_[next_slot_] = record;
-      next_slot_ = (next_slot_ + 1) % ring_.size();
-      ++dropped_;
-    }
+    record.sequence = ring_.pushed() + 1;
+    dropped = ring_.Push(record).has_value();
   }
   obs::IncrementCounter("adapt.feedback.published");
-  if (record.sequence > opts_.capacity) {
-    obs::IncrementCounter("adapt.feedback.dropped");
-  }
+  if (dropped) obs::IncrementCounter("adapt.feedback.dropped");
   for (const auto& [id, subscriber] : subscribers_) {
     (void)id;
     subscriber(record);
@@ -63,12 +57,12 @@ void FeedbackBus::Publish(FeedbackRecord record) {
 
 uint64_t FeedbackBus::published() const {
   common::MutexLock lock(&mu_);
-  return published_;
+  return ring_.pushed();
 }
 
 uint64_t FeedbackBus::dropped() const {
   common::MutexLock lock(&mu_);
-  return dropped_;
+  return ring_.pushed() - ring_.size();
 }
 
 size_t FeedbackBus::size() const {
@@ -76,18 +70,14 @@ size_t FeedbackBus::size() const {
   return ring_.size();
 }
 
+size_t FeedbackBus::capacity() const {
+  common::MutexLock lock(&mu_);
+  return ring_.capacity();
+}
+
 std::vector<FeedbackRecord> FeedbackBus::Snapshot() const {
   common::MutexLock lock(&mu_);
-  std::vector<FeedbackRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < opts_.capacity) {
-    out = ring_;  // insertion order is oldest-first until the ring wraps
-  } else {
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(next_slot_ + i) % ring_.size()]);
-    }
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 ExecutionFeedbackConnection::ExecutionFeedbackConnection(FeedbackBus* bus) {

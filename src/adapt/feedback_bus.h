@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "query/query.h"
 
@@ -37,8 +38,10 @@ struct FeedbackRecord {
 };
 
 struct FeedbackBusOptions {
-  /// Ring capacity: the window Snapshot() can replay to a late-joining
-  /// subscriber; older records are overwritten (counted as dropped).
+  /// Ring capacity (clamped to >= 1): the one retained feedback window —
+  /// what Snapshot() replays to a late-joining subscriber and what
+  /// adapt::Retrainer trains on. Older records are overwritten (counted as
+  /// dropped).
   size_t capacity = 1024;
 };
 
@@ -51,6 +54,9 @@ struct FeedbackBusOptions {
 /// not call back into the bus (the subscriber lock is held during the
 /// call); Unsubscribe blocks until in-flight invocations of the removed
 /// subscriber have returned.
+///
+/// The ring is the system's one feedback window: adapt::Retrainer trains on
+/// Snapshot() instead of keeping a copy.
 ///
 /// Exports adapt.feedback.published / adapt.feedback.dropped counters and
 /// wraps each fan-out in an adapt.feedback trace span.
@@ -79,17 +85,15 @@ class FeedbackBus {
   uint64_t dropped() const;
   /// Records currently retained in the ring.
   size_t size() const;
+  /// Ring capacity (FeedbackBusOptions::capacity, clamped to >= 1).
+  size_t capacity() const;
   /// Ring contents, oldest first.
   std::vector<FeedbackRecord> Snapshot() const;
 
  private:
-  const FeedbackBusOptions opts_;
-
   mutable common::Mutex mu_;
-  std::vector<FeedbackRecord> ring_ QFCARD_GUARDED_BY(mu_);
-  size_t next_slot_ QFCARD_GUARDED_BY(mu_) = 0;  // ring cursor once full
-  uint64_t published_ QFCARD_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ QFCARD_GUARDED_BY(mu_) = 0;
+  /// pushed() is the published count; pushed() - size() were dropped.
+  common::Ring<FeedbackRecord> ring_ QFCARD_GUARDED_BY(mu_);
 
   /// Serializes fan-outs and guards the registry. Lock order:
   /// subscribers_mu_ -> mu_ (Publish holds subscribers_mu_ across the ring

@@ -3,14 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 namespace qfcard::common {
 
 /// Linear-interpolated quantile of a sorted sample, q in [0, 1]. Lives in
-/// common/ because both obs/ (the q-error drift monitor) and ml/ (q-error
-/// summaries) need it, and obs/ sits below ml/ in the layer order
-/// (tools/layers.json); ml::QuantileSorted forwards here.
+/// common/ because obs/ (the q-error drift monitor), ml/ (q-error
+/// summaries) and adapt/ (tier windows) all need it, and obs/ sits below ml/
+/// in the layer order (tools/layers.json).
 inline double QuantileSorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
@@ -19,6 +20,17 @@ inline double QuantileSorted(const std::vector<double>& sorted, double q) {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+/// Quantiles `qs` of an unsorted sample (typically a rolling window's
+/// Ring::Snapshot()): sorts the sample once and reads every q from it.
+inline std::vector<double> Quantiles(std::vector<double> sample,
+                                     std::initializer_list<double> qs) {
+  std::sort(sample.begin(), sample.end());
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (const double q : qs) out.push_back(QuantileSorted(sample, q));
+  return out;
 }
 
 }  // namespace qfcard::common

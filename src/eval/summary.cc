@@ -1,47 +1,18 @@
 #include "eval/summary.h"
 
 #include <algorithm>
-#include <tuple>
-
-#include "obs/metrics.h"
+#include <utility>
 
 namespace qfcard::eval {
 
 std::map<int, ml::QErrorSummary> SummarizeByGroup(
     const std::vector<double>& errors, const std::vector<int>& groups) {
-  // One obs::Histogram per group instead of the old sort-per-group: a group
-  // of k errors costs O(k) bucket increments plus an O(buckets) quantile
-  // walk, not O(k log k), and the figures share bucket resolution with the
-  // exported telemetry. count/mean/max stay exact (the histogram tracks sum
-  // and max exactly); quantiles are interpolated inside QErrorBounds()
-  // buckets — see the pinned regression test in tests/eval_test.cc.
-  std::map<int, obs::Histogram> hists;
+  std::map<int, std::vector<double>> grouped;
   const size_t n = std::min(errors.size(), groups.size());
-  for (size_t i = 0; i < n; ++i) {
-    auto it = hists.find(groups[i]);
-    if (it == hists.end()) {
-      it = hists
-               .emplace(std::piecewise_construct,
-                        std::forward_as_tuple(groups[i]),
-                        std::forward_as_tuple(obs::QErrorBounds()))
-               .first;
-    }
-    it->second.Observe(errors[i]);
-  }
+  for (size_t i = 0; i < n; ++i) grouped[groups[i]].push_back(errors[i]);
   std::map<int, ml::QErrorSummary> out;
-  for (const auto& [key, hist] : hists) {
-    ml::QErrorSummary s;
-    s.count = hist.Count();
-    s.mean = hist.Mean();
-    s.p01 = hist.Quantile(0.01);
-    s.p25 = hist.Quantile(0.25);
-    s.median = hist.Quantile(0.50);
-    s.p75 = hist.Quantile(0.75);
-    s.p90 = hist.Quantile(0.90);
-    s.p95 = hist.Quantile(0.95);
-    s.p99 = hist.Quantile(0.99);
-    s.max = hist.Max();
-    out[key] = s;
+  for (auto& [key, group] : grouped) {
+    out[key] = ml::QErrorSummary::FromErrors(std::move(group));
   }
   return out;
 }

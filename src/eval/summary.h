@@ -9,10 +9,10 @@
 namespace qfcard::eval {
 
 /// Buckets q-errors by an integer group key (e.g. number of attributes or
-/// predicates in the query) and summarizes each bucket — the aggregation
-/// behind Figures 2, 3, 4 and 5. count/mean/max are exact; quantiles come
-/// from an obs::Histogram over QErrorBounds() (interpolated within fixed
-/// buckets) instead of a full sort per group.
+/// predicates in the query) and summarizes each bucket with
+/// ml::QErrorSummary::FromErrors — the aggregation behind Figures 2, 3, 4
+/// and 5. Exact, so a group holding every query reports the same summary as
+/// FromErrors over all of them.
 std::map<int, ml::QErrorSummary> SummarizeByGroup(
     const std::vector<double>& errors, const std::vector<int>& groups);
 

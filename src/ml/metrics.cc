@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/stats.h"
 #include "common/str_util.h"
 
 namespace qfcard::ml {
@@ -21,13 +22,13 @@ QErrorSummary QErrorSummary::FromErrors(std::vector<double> errors) {
   double sum = 0.0;
   for (const double e : errors) sum += e;
   s.mean = sum / static_cast<double>(errors.size());
-  s.p01 = QuantileSorted(errors, 0.01);
-  s.p25 = QuantileSorted(errors, 0.25);
-  s.median = QuantileSorted(errors, 0.50);
-  s.p75 = QuantileSorted(errors, 0.75);
-  s.p90 = QuantileSorted(errors, 0.90);
-  s.p95 = QuantileSorted(errors, 0.95);
-  s.p99 = QuantileSorted(errors, 0.99);
+  s.p01 = common::QuantileSorted(errors, 0.01);
+  s.p25 = common::QuantileSorted(errors, 0.25);
+  s.median = common::QuantileSorted(errors, 0.50);
+  s.p75 = common::QuantileSorted(errors, 0.75);
+  s.p90 = common::QuantileSorted(errors, 0.90);
+  s.p95 = common::QuantileSorted(errors, 0.95);
+  s.p99 = common::QuantileSorted(errors, 0.99);
   s.max = errors.back();
   return s;
 }

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
-
 namespace qfcard::ml {
 
 /// The q-error metric (Moerkotte et al.): max(x/e, e/x) for true cardinality
@@ -38,13 +36,6 @@ struct QErrorSummary {
 /// Convenience: q-errors for paired truths/estimates.
 std::vector<double> QErrors(const std::vector<double>& truths,
                             const std::vector<double>& estimates);
-
-/// Linear-interpolated quantile of a sorted sample, q in [0, 1]. The
-/// implementation lives in common/stats.h (obs/ needs it below ml/ in the
-/// layer order); this alias keeps the historical ml:: spelling working.
-inline double QuantileSorted(const std::vector<double>& sorted, double q) {
-  return common::QuantileSorted(sorted, q);
-}
 
 /// Root mean squared error between paired vectors (label space).
 double Rmse(const std::vector<float>& a, const std::vector<float>& b);

@@ -30,35 +30,25 @@ QErrorDriftMonitor& QErrorDriftMonitor::Global() {
   return *monitor;
 }
 
-QErrorDriftMonitor::QErrorDriftMonitor(DriftMonitorOptions options) {
-  common::MutexLock lock(&mu_);
-  opts_ = options;
-  if (opts_.window == 0) opts_.window = 1;
-  window_.reserve(opts_.window);
-}
+QErrorDriftMonitor::QErrorDriftMonitor(DriftMonitorOptions options)
+    : opts_(options), window_(options.window) {}
 
 void QErrorDriftMonitor::Observe(double qerror) {
   bool flipped = false;
   State flip_state;
   {
     common::MutexLock lock(&mu_);
-    ++observed_;
     max_qerror_ = std::max(max_qerror_, qerror);
-    if (window_.size() < opts_.window) {
-      window_.push_back(qerror);
-    } else {
-      window_[next_slot_] = qerror;
-      next_slot_ = (next_slot_ + 1) % opts_.window;
-    }
+    window_.Push(qerror);
     RecomputeLocked();
     const bool now_degraded =
         window_.size() >= opts_.min_samples && p95_ > opts_.p95_threshold;
     if (now_degraded && !degraded_) {
       ++flips_;
       flipped = true;
-      flip_state.observed = observed_;
+      flip_state.observed = window_.pushed();
       flip_state.window_fill = window_.size();
-      flip_state.window_size = opts_.window;
+      flip_state.window_size = window_.capacity();
       flip_state.p50 = p50_;
       flip_state.p95 = p95_;
       flip_state.max_qerror = max_qerror_;
@@ -101,18 +91,18 @@ void QErrorDriftMonitor::RemoveFlipListener(uint64_t id) {
 void QErrorDriftMonitor::RecomputeLocked() {
   // Exact window quantiles by sorting a copy: the window is small (hundreds)
   // and Observe runs on labeled feedback, not the estimation hot path.
-  std::vector<double> sorted = window_;
-  std::sort(sorted.begin(), sorted.end());
-  p50_ = common::QuantileSorted(sorted, 0.50);
-  p95_ = common::QuantileSorted(sorted, 0.95);
+  const std::vector<double> q =
+      common::Quantiles(window_.Snapshot(), {0.50, 0.95});
+  p50_ = q[0];
+  p95_ = q[1];
 }
 
 QErrorDriftMonitor::State QErrorDriftMonitor::GetState() const {
   common::MutexLock lock(&mu_);
   State s;
-  s.observed = observed_;
+  s.observed = window_.pushed();
   s.window_fill = window_.size();
-  s.window_size = opts_.window;
+  s.window_size = window_.capacity();
   s.p50 = p50_;
   s.p95 = p95_;
   s.max_qerror = max_qerror_;
@@ -143,14 +133,8 @@ std::string QErrorDriftMonitor::ToJson() const {
 
 void QErrorDriftMonitor::Reset(const DriftMonitorOptions* options) {
   common::MutexLock lock(&mu_);
-  if (options != nullptr) {
-    opts_ = *options;
-    if (opts_.window == 0) opts_.window = 1;
-  }
-  window_.clear();
-  window_.reserve(opts_.window);
-  next_slot_ = 0;
-  observed_ = 0;
+  if (options != nullptr) opts_ = *options;
+  window_.Reset(opts_.window);
   max_qerror_ = 0.0;
   degraded_ = false;
   flips_ = 0;

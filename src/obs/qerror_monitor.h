@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 
 namespace qfcard::obs {
@@ -71,7 +72,7 @@ class QErrorDriftMonitor {
   /// Called on every healthy->degraded flip with the state that triggered
   /// it, from the Observe thread. Listeners must be fast and must not call
   /// back into this monitor (the listener lock is held during the call);
-  /// hand heavy work off to another thread (serve::Retrainer does).
+  /// hand heavy work off to another thread (adapt::Retrainer does).
   using FlipListener = std::function<void(const State&)>;
 
   /// Registers a flip listener; returns an id for RemoveFlipListener.
@@ -84,9 +85,7 @@ class QErrorDriftMonitor {
  private:
   mutable common::Mutex mu_;
   DriftMonitorOptions opts_ QFCARD_GUARDED_BY(mu_);
-  std::vector<double> window_ QFCARD_GUARDED_BY(mu_);  // ring, oldest evicted
-  size_t next_slot_ QFCARD_GUARDED_BY(mu_) = 0;
-  uint64_t observed_ QFCARD_GUARDED_BY(mu_) = 0;
+  common::Ring<double> window_ QFCARD_GUARDED_BY(mu_);
   double max_qerror_ QFCARD_GUARDED_BY(mu_) = 0.0;
   bool degraded_ QFCARD_GUARDED_BY(mu_) = false;
   uint64_t flips_ QFCARD_GUARDED_BY(mu_) = 0;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -70,10 +71,7 @@ TraceBuffer& TraceBuffer::Global() {
 }
 
 TraceBuffer::TraceBuffer(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), epoch_(Now()) {
-  common::MutexLock lock(&mu_);
-  ring_.reserve(capacity_);
-}
+    : ring_(capacity), epoch_(Now()) {}
 
 bool TraceBuffer::IsKept(uint64_t trace_id) const {
   return kept_traces_.count(trace_id) != 0;
@@ -94,7 +92,6 @@ void TraceBuffer::KeepTrace(uint64_t trace_id) {
 
 void TraceBuffer::Record(SpanRecord span) {
   common::MutexLock lock(&mu_);
-  ++recorded_;
   // Keep-decision at trace-root close (the root is recorded last, after its
   // children): a slow or errored request marks its whole trace kept, so the
   // eviction path below rescues the trace's spans from the ring.
@@ -103,33 +100,23 @@ void TraceBuffer::Record(SpanRecord span) {
     const bool errored = tail_.keep_errors && span.error;
     if (slow || errored) KeepTrace(span.trace_id);
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-    return;
-  }
-  // Full: overwrite the oldest slot (next_slot_ walks the ring), rescuing
-  // victims that belong to a tail-sampled trace into the bounded side store.
-  SpanRecord& victim = ring_[next_slot_];
-  if (tail_.enabled && victim.trace_id != 0 && IsKept(victim.trace_id)) {
+  // A full ring overwrites its oldest span; a victim that belongs to a
+  // tail-sampled trace is rescued into the bounded side store.
+  std::optional<SpanRecord> victim = ring_.Push(std::move(span));
+  if (victim && tail_.enabled && victim->trace_id != 0 &&
+      IsKept(victim->trace_id)) {
     if (retained_.size() < tail_.retained_capacity) {
-      retained_.push_back(std::move(victim));
+      retained_.push_back(std::move(*victim));
     } else {
       ++tail_dropped_;
     }
   }
-  ring_[next_slot_] = std::move(span);
-  next_slot_ = (next_slot_ + 1) % capacity_;
 }
 
 std::vector<SpanRecord> TraceBuffer::SnapshotLocked() const {
-  std::vector<SpanRecord> out;
-  out.reserve(retained_.size() + ring_.size());
   // Retainees were evicted from the ring, so they predate everything in it.
-  out.insert(out.end(), retained_.begin(), retained_.end());
-  // Ring oldest first: from next_slot_ (the overwrite cursor) around.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_slot_ + i) % ring_.size()]);
-  }
+  std::vector<SpanRecord> out = retained_;
+  for (SpanRecord& span : ring_.Snapshot()) out.push_back(std::move(span));
   return out;
 }
 
@@ -141,17 +128,17 @@ std::vector<SpanRecord> TraceBuffer::Snapshot() const {
 uint64_t TraceBuffer::Dropped() const {
   common::MutexLock lock(&mu_);
   const uint64_t held = ring_.size() + retained_.size();
-  return recorded_ > held ? recorded_ - held : 0;
+  return ring_.pushed() > held ? ring_.pushed() - held : 0;
 }
 
 uint64_t TraceBuffer::Recorded() const {
   common::MutexLock lock(&mu_);
-  return recorded_;
+  return ring_.pushed();
 }
 
 size_t TraceBuffer::capacity() const {
   common::MutexLock lock(&mu_);
-  return capacity_;
+  return ring_.capacity();
 }
 
 void TraceBuffer::SetTailSampling(const TailSamplingOptions& options) {
@@ -182,9 +169,7 @@ size_t TraceBuffer::RetainedSpans() const {
 
 void TraceBuffer::Reset() {
   common::MutexLock lock(&mu_);
-  ring_.clear();
-  next_slot_ = 0;
-  recorded_ = 0;
+  ring_.Reset(ring_.capacity());
   next_id_.store(1, std::memory_order_relaxed);
   epoch_ = Now();
   retained_.clear();
@@ -197,8 +182,7 @@ void TraceBuffer::Reset() {
 void TraceBuffer::ResetWithCapacity(size_t capacity) {
   Reset();
   common::MutexLock lock(&mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.reserve(capacity_);
+  ring_.Reset(capacity);
 }
 
 namespace {
@@ -235,8 +219,8 @@ std::string TraceBuffer::ToJson() const {
   {
     common::MutexLock lock(&mu_);
     spans = SnapshotLocked();
-    recorded = recorded_;
-    capacity = capacity_;
+    recorded = ring_.pushed();
+    capacity = ring_.capacity();
     retained = retained_.size();
     tail_sampled = tail_sampled_;
     tail_dropped = tail_dropped_;

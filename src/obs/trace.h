@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/ring.h"
 #include "common/thread_annotations.h"
 #include "obs/clock.h"
 
@@ -177,10 +178,8 @@ class TraceBuffer {
   void KeepTrace(uint64_t trace_id) QFCARD_REQUIRES(mu_);
 
   mutable common::Mutex mu_;
-  std::vector<SpanRecord> ring_ QFCARD_GUARDED_BY(mu_);
-  size_t capacity_ QFCARD_GUARDED_BY(mu_);
-  size_t next_slot_ QFCARD_GUARDED_BY(mu_) = 0;
-  uint64_t recorded_ QFCARD_GUARDED_BY(mu_) = 0;
+  /// pushed() is the recorded-span count.
+  common::Ring<SpanRecord> ring_ QFCARD_GUARDED_BY(mu_);
   std::atomic<uint64_t> next_id_{1};
   Clock::time_point epoch_ QFCARD_GUARDED_BY(mu_);
 

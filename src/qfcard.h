@@ -8,7 +8,8 @@
 /// Estimation" (Müller, Woltmann, Lehner; EDBT 2023).
 ///
 /// Layering (bottom-up):
-///  - common/   : Status/StatusOr, deterministic RNG, env knobs
+///  - common/   : Status/StatusOr, deterministic RNG, env knobs, the shared
+///                ring buffer and quantile helpers
 ///  - obs/      : telemetry — metrics registry, stage tracing, drift monitor
 ///  - storage/  : columnar tables, dictionaries, catalog, CSV I/O
 ///  - query/    : mixed-query AST, SQL parser, executors, schema graph
@@ -19,12 +20,12 @@
 ///  - workload/ : synthetic forest/IMDb data and workload generators
 ///  - eval/     : experiment harness and reporting
 ///  - serve/    : model lifecycle and the estimation server — versioned
-///                bundles on disk, hot-swap serving, drift-triggered
-///                retraining, feature-space routing, cross-request
-///                micro-batching (docs/serving.md)
+///                bundles on disk, hot-swap serving, feature-space routing,
+///                cross-request micro-batching (docs/serving.md)
 ///  - adapt/    : online adaptive estimation — execution-feedback bus,
-///                per-route kNN and residual-correction tiers, and the
-///                q-error-driven tier arbiter in front of the ML path
+///                per-route kNN and residual-correction tiers, the
+///                q-error-driven tier arbiter in front of the ML path, and
+///                drift-triggered retraining on the bus window
 ///                (docs/adaptive.md)
 ///
 /// Estimation is batch-first: prefer est::CardinalityEstimator::EstimateBatch
@@ -48,8 +49,11 @@
 #include "adapt/feedback_bus.h"
 #include "adapt/online_knn.h"
 #include "adapt/residual.h"
+#include "adapt/retrainer.h"
 #include "common/env.h"
 #include "common/random.h"
+#include "common/ring.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -103,7 +107,6 @@
 #include "serve/bundle.h"
 #include "serve/fss.h"
 #include "serve/model_store.h"
-#include "serve/retrainer.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/serving_estimator.h"

@@ -53,7 +53,7 @@ class ServingEstimator : public est::CardinalityEstimator {
       const std::vector<query::Query>& queries) const override;
 
   /// The active model is immutable: train a candidate offline and Swap it
-  /// in (see serve::Retrainer). Always returns FailedPrecondition.
+  /// in (see adapt::Retrainer). Always returns FailedPrecondition.
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards, double valid_fraction,
                        uint64_t seed) override;

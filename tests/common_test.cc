@@ -1,8 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/env.h"
 #include "common/random.h"
+#include "common/ring.h"
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "gtest/gtest.h"
@@ -253,6 +259,93 @@ TEST(StrUtilTest, Join) {
 TEST(StrUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(StrFormat("%.2f", 1.5), "1.50");
+}
+
+TEST(StatsTest, QuantileSorted) {
+  const std::vector<double> v{1, 2, 3, 4, 5};
+  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(QuantileSorted(v, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.25), 2.0);
+  EXPECT_DOUBLE_EQ(QuantileSorted({7.0}, 0.9), 7.0);
+  EXPECT_DOUBLE_EQ(QuantileSorted({}, 0.5), 0.0);
+}
+
+TEST(StatsTest, QuantilesSortsOnceAndMatchesQuantileSorted) {
+  const std::vector<double> sorted{1, 2, 3, 4, 5};
+  const std::vector<double> q = Quantiles({5, 1, 4, 2, 3}, {0.5, 0.95, 0.25});
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q[0], QuantileSorted(sorted, 0.5));
+  EXPECT_EQ(q[1], QuantileSorted(sorted, 0.95));
+  EXPECT_EQ(q[2], QuantileSorted(sorted, 0.25));
+  EXPECT_EQ(Quantiles({}, {0.95})[0], 0.0);
+}
+
+TEST(RingTest, FillsBelowCapacityInPushOrder) {
+  Ring<int> ring(4);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  EXPECT_FALSE(ring.Push(1).has_value());
+  EXPECT_FALSE(ring.Push(2).has_value());
+  EXPECT_FALSE(ring.Push(3).has_value());
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(RingTest, SnapshotIsOldestFirstAfterWrap) {
+  Ring<int> ring(3);
+  for (int i = 1; i <= 5; ++i) ring.Push(i);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{3, 4, 5}));
+  // A whole number of wraps lands back on slot order.
+  ring.Push(6);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{4, 5, 6}));
+}
+
+TEST(RingTest, PushReturnsEvictedExactlyWhenFull) {
+  Ring<std::string> ring(2);
+  EXPECT_FALSE(ring.Push("a").has_value());
+  EXPECT_FALSE(ring.Push("b").has_value());
+  const std::optional<std::string> first = ring.Push("c");
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "a");
+  const std::optional<std::string> second = ring.Push("d");
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, "b");
+  EXPECT_EQ(ring.Snapshot(), (std::vector<std::string>{"c", "d"}));
+}
+
+TEST(RingTest, PushedCountsEveryPushSizeStaysBounded) {
+  Ring<int> ring(3);
+  for (int i = 0; i < 10; ++i) {
+    ring.Push(i);
+    EXPECT_EQ(ring.pushed(), static_cast<uint64_t>(i + 1));
+    EXPECT_EQ(ring.size(), std::min<size_t>(static_cast<size_t>(i + 1), 3));
+  }
+  EXPECT_EQ(ring.pushed() - ring.size(), 7u);  // evicted so far
+}
+
+TEST(RingTest, ZeroCapacityClampsToOne) {
+  Ring<int> ring(0);
+  EXPECT_EQ(ring.capacity(), 1u);
+  EXPECT_FALSE(ring.Push(1).has_value());
+  EXPECT_EQ(ring.Push(2).value(), 1);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{2}));
+  ring.Reset(0);
+  EXPECT_EQ(ring.capacity(), 1u);
+}
+
+TEST(RingTest, ResetClearsAndResizes) {
+  Ring<int> ring(2);
+  for (int i = 0; i < 5; ++i) ring.Push(i);
+  ring.Reset(4);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.pushed(), 0u);
+  EXPECT_TRUE(ring.Snapshot().empty());
+  for (int i = 10; i < 14; ++i) EXPECT_FALSE(ring.Push(i).has_value());
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{10, 11, 12, 13}));
+  EXPECT_EQ(ring.Push(14).value(), 10);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/stats.h"
 #include "eval/report.h"
 #include "obs/metrics.h"
 #include "eval/summary.h"
@@ -158,41 +159,49 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_LT(timer.Seconds(), 10.0);
 }
 
-TEST(SummaryTest, SummarizeByGroupPinnedQuantiles) {
-  // Regression pin for the histogram-backed quantile path: a fixed
-  // deterministic workload of q-errors must keep reporting these exact
-  // interpolated values. Inputs use only integer-derived doubles, so bucket
-  // assignment is platform-exact. If QErrorBounds() or
-  // obs::Histogram::Quantile changes, recompute the constants consciously.
+TEST(SummaryTest, SummarizeByGroupMatchesFromErrors) {
+  // Offline q-error summaries have one implementation: every group equals
+  // FromErrors over exactly that group's errors, and a group holding every
+  // query equals the overall summary (no bucket interpolation anywhere).
   std::vector<double> errors;
   std::vector<int> groups;
   errors.reserve(400);
   for (int i = 0; i < 400; ++i) {
     // Values in [1.0, 11.0) spread by a full-period multiplicative walk.
     errors.push_back(1.0 + static_cast<double>((i * 37) % 1000) / 100.0);
-    groups.push_back(i % 2);
+    groups.push_back(i % 3);
   }
+  const auto expect_same = [](const ml::QErrorSummary& a,
+                              const ml::QErrorSummary& b) {
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.p01, b.p01);
+    EXPECT_EQ(a.p25, b.p25);
+    EXPECT_EQ(a.median, b.median);
+    EXPECT_EQ(a.p75, b.p75);
+    EXPECT_EQ(a.p90, b.p90);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.max, b.max);
+  };
   const auto grouped = SummarizeByGroup(errors, groups);
-  ASSERT_EQ(grouped.size(), 2u);
-  // count/max are exact regardless of bucketing; mean is sum/count, exact.
-  EXPECT_EQ(grouped.at(0).count, 200u);
-  EXPECT_EQ(grouped.at(1).count, 200u);
-  const ml::QErrorSummary& s0 = grouped.at(0);
-  EXPECT_DOUBLE_EQ(s0.max, 10.98);
-  // Pinned interpolated quantiles (fixed inputs -> fixed bucket counts).
-  EXPECT_DOUBLE_EQ(s0.median, 5.975609756097561);
-  EXPECT_DOUBLE_EQ(s0.p95, 12.619047619047619);
-  // Sanity: the interpolated values stay within one bucket of the exact
-  // sort-based quantiles.
-  std::vector<double> g0;
-  for (int i = 0; i < 400; i += 2) g0.push_back(errors[static_cast<size_t>(i)]);
-  std::sort(g0.begin(), g0.end());
-  const double exact_p50 = ml::QuantileSorted(g0, 0.50);
-  const double exact_p95 = ml::QuantileSorted(g0, 0.95);
-  EXPECT_GT(s0.median, exact_p50 / 1.5);
-  EXPECT_LT(s0.median, exact_p50 * 1.5);
-  EXPECT_GT(s0.p95, exact_p95 / 1.5);
-  EXPECT_LT(s0.p95, exact_p95 * 1.5);
+  ASSERT_EQ(grouped.size(), 3u);
+  for (const auto& [key, summary] : grouped) {
+    std::vector<double> members;
+    for (size_t i = 0; i < errors.size(); ++i) {
+      if (groups[i] == key) members.push_back(errors[i]);
+    }
+    expect_same(summary, ml::QErrorSummary::FromErrors(members));
+    EXPECT_LE(summary.p95, summary.max);
+  }
+
+  const auto all = SummarizeByGroup(errors, std::vector<int>(400, 7));
+  ASSERT_EQ(all.size(), 1u);
+  expect_same(all.at(7), ml::QErrorSummary::FromErrors(errors));
+  // Spot-check against common::QuantileSorted on the sorted sample.
+  std::vector<double> sorted = errors;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(all.at(7).p95, common::QuantileSorted(sorted, 0.95));
 }
 
 }  // namespace

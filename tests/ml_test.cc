@@ -146,16 +146,6 @@ TEST(MetricsTest, QErrorProperties) {
   EXPECT_GE(QError(3, 7), 1.0);
 }
 
-TEST(MetricsTest, QuantileSorted) {
-  const std::vector<double> v{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(QuantileSorted(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(QuantileSorted(v, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(QuantileSorted({7.0}, 0.9), 7.0);
-  EXPECT_DOUBLE_EQ(QuantileSorted({}, 0.5), 0.0);
-}
-
 TEST(MetricsTest, SummaryStatistics) {
   std::vector<double> errors;
   for (int i = 1; i <= 100; ++i) errors.push_back(i);

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -8,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/feedback_bus.h"
+#include "adapt/retrainer.h"
 #include "common/random.h"
 #include "estimators/registry.h"
 #include "estimators/true_card.h"
@@ -15,7 +18,6 @@
 #include "obs/qerror_monitor.h"
 #include "serve/bundle.h"
 #include "serve/model_store.h"
-#include "serve/retrainer.h"
 #include "serve/serving_estimator.h"
 #include "storage/catalog.h"
 #include "workload/forest.h"
@@ -214,8 +216,19 @@ const RetrainFixture& GetRetrainFixture() {
   return *fixture;
 }
 
-RetrainerOptions SmallRetrainerOptions() {
-  RetrainerOptions opts;
+/// Publishes the first `n` labeled fixture queries (all by default).
+void PublishFeedback(const RetrainFixture& fx, adapt::FeedbackBus* bus,
+                     size_t n = SIZE_MAX) {
+  for (size_t i = 0; i < std::min(n, fx.labeled.size()); ++i) {
+    adapt::FeedbackRecord record;
+    record.query = fx.labeled[i].query;
+    record.true_card = fx.labeled[i].card;
+    bus->Publish(std::move(record));
+  }
+}
+
+adapt::RetrainerOptions SmallRetrainerOptions() {
+  adapt::RetrainerOptions opts;
   opts.estimator_name = "gb+conjunctive";
   opts.estimator_opts.gbm.num_trees = 24;
   opts.estimator_opts.gbm.max_depth = 4;
@@ -227,16 +240,15 @@ RetrainerOptions SmallRetrainerOptions() {
 TEST(RetrainerTest, InsufficientFeedbackIsANoOp) {
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
-  Retrainer retrainer(&serving, &fx.catalog, SmallRetrainerOptions());
-  for (int i = 0; i < 5; ++i) {
-    retrainer.AddFeedback(fx.labeled[static_cast<size_t>(i)].query,
-                          fx.labeled[static_cast<size_t>(i)].card);
-  }
-  EXPECT_EQ(retrainer.feedback_size(), 5u);
+  adapt::FeedbackBus bus;
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus,
+                             SmallRetrainerOptions());
+  PublishFeedback(fx, &bus, 5);
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->attempted);
   EXPECT_FALSE(result->promoted);
+  EXPECT_EQ(result->feedback_used, 5u);
   EXPECT_NE(result->detail.find("insufficient"), std::string::npos);
   EXPECT_EQ(serving.SwapCount(), 1u);
 }
@@ -245,10 +257,11 @@ TEST(RetrainerTest, PromotesImprovingCandidateThroughStore) {
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
   ModelStore store(MakeTempRoot("promote"));
-  RetrainerOptions opts = SmallRetrainerOptions();
+  adapt::FeedbackBus bus;
+  adapt::RetrainerOptions opts = SmallRetrainerOptions();
   opts.store = &store;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishFeedback(fx, &bus);
 
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -280,11 +293,12 @@ TEST(RetrainerTest, RejectsNonImprovingCandidate) {
   ServingEstimator serving(
       std::make_shared<est::TrueCardEstimator>(&fx.catalog), /*version=*/5);
   ModelStore store(MakeTempRoot("reject"));
-  RetrainerOptions opts = SmallRetrainerOptions();
+  adapt::FeedbackBus bus;
+  adapt::RetrainerOptions opts = SmallRetrainerOptions();
   opts.estimator_name = "linear+simple";
   opts.store = &store;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishFeedback(fx, &bus);
 
   auto result = retrainer.RetrainNow();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -301,13 +315,21 @@ TEST(RetrainerTest, RejectsNonImprovingCandidate) {
 }
 
 TEST(RetrainerTest, FeedbackRingOverwritesOldest) {
+  // The retrainer trains on the bus's bounded window, not on everything ever
+  // published; min_feedback (32) clamps to the 16-record capacity.
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
-  RetrainerOptions opts = SmallRetrainerOptions();
-  opts.max_feedback = 16;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
-  EXPECT_EQ(retrainer.feedback_size(), 16u);
+  adapt::FeedbackBusOptions bus_opts;
+  bus_opts.capacity = 16;
+  adapt::FeedbackBus bus(bus_opts);
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus,
+                             SmallRetrainerOptions());
+  PublishFeedback(fx, &bus);
+  ASSERT_GT(bus.published(), 16u);
+  auto result = retrainer.RetrainNow();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->attempted);
+  EXPECT_EQ(result->feedback_used, 16u);
 }
 
 TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
@@ -318,10 +340,11 @@ TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
   monitor_opts.p95_threshold = 2.0;
   monitor_opts.min_samples = 4;
   obs::QErrorDriftMonitor monitor(monitor_opts);
-  RetrainerOptions opts = SmallRetrainerOptions();
+  adapt::FeedbackBus bus;
+  adapt::RetrainerOptions opts = SmallRetrainerOptions();
   opts.monitor = &monitor;
-  Retrainer retrainer(&serving, &fx.catalog, opts);
-  for (const auto& lq : fx.labeled) retrainer.AddFeedback(lq.query, lq.card);
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  PublishFeedback(fx, &bus);
 
   retrainer.Start();
   for (int i = 0; i < 8; ++i) monitor.Observe(100.0);
@@ -335,7 +358,7 @@ TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
   retrainer.Stop();
 
   EXPECT_GE(retrainer.runs(), 1u);
-  const RetrainResult result = retrainer.last_result();
+  const adapt::RetrainResult result = retrainer.last_result();
   EXPECT_TRUE(result.attempted);
   EXPECT_TRUE(result.promoted)
       << "candidate p95 " << result.candidate_p95 << " vs stale "
