@@ -8,6 +8,7 @@
 // Model: GB; workload: forest conjunctive.
 
 #include <iostream>
+#include <memory>
 
 #include "bench_common.h"
 
@@ -37,18 +38,16 @@ void Run() {
 
   {
     featurize::ConjunctionOptions opts = DefaultConjOptions();
-    static featurize::EquiDepthPartitioner equi_depth =
+    opts.partitioner = std::make_shared<featurize::EquiDepthPartitioner>(
         featurize::EquiDepthPartitioner::FromTable(*bundle.forest,
-                                                   opts.max_partitions);
-    opts.partitioner = &equi_depth;
+                                                   opts.max_partitions));
     run("equi-depth partitioner", opts);
   }
   {
     featurize::ConjunctionOptions opts = DefaultConjOptions();
-    static featurize::VOptimalPartitioner v_optimal =
+    opts.partitioner = std::make_shared<featurize::VOptimalPartitioner>(
         featurize::VOptimalPartitioner::FromTable(*bundle.forest,
-                                                  opts.max_partitions);
-    opts.partitioner = &v_optimal;
+                                                  opts.max_partitions));
     run("v-optimal partitioner", opts);
   }
   {

@@ -66,19 +66,32 @@ void Run() {
        &iep_oracle, 100},
   };
 
+  // Each arm answers its queries with one EstimateBatch call (IEP fans out
+  // over the global pool); queries past the IEP term cap are rejected
+  // up front, since one rejected query fails the whole batch.
   for (Arm& arm : arms) {
     obs::ScopedTimer timer;
+    std::vector<query::Query> queries;
+    std::vector<double> truths;
     for (size_t qi = 0;
          qi < bundle.mixed_test.size() && qi < arm.max_queries; ++qi) {
       const workload::LabeledQuery& lq = bundle.mixed_test[qi];
-      const auto est_or = arm.estimator->EstimateCard(lq.query);
-      if (!est_or.ok()) {
-        ++arm.rejected;  // IEP blow-up guard (> max_terms DNF terms)
-        continue;
+      if (arm.iep != nullptr) {
+        const auto expansion = arm.iep->Expansion(lq.query);
+        if (!expansion.ok()) {
+          ++arm.rejected;  // IEP blow-up guard (> max_terms DNF terms)
+          continue;
+        }
+        arm.subqueries += expansion.value().subqueries;
       }
-      ++arm.answered;
-      if (arm.iep != nullptr) arm.subqueries += arm.iep->last_call().subqueries;
-      arm.errors.push_back(ml::QError(lq.card, est_or.value()));
+      queries.push_back(lq.query);
+      truths.push_back(lq.card);
+    }
+    const std::vector<double> estimates =
+        arm.estimator->EstimateBatch(queries).value();
+    arm.answered = static_cast<int>(queries.size());
+    for (size_t i = 0; i < estimates.size(); ++i) {
+      arm.errors.push_back(ml::QError(truths[i], estimates[i]));
     }
     arm.seconds = timer.Seconds();
   }

@@ -182,73 +182,90 @@ AdaptiveEstimator::TierPick AdaptiveEstimator::PickTier(uint64_t fss) const {
   return pick;
 }
 
-common::StatusOr<double> AdaptiveEstimator::EstimateVia(
-    const query::Query& q, uint64_t fss, est::ServedTier tier) const {
-  switch (tier) {
-    case est::ServedTier::kHistogramResidual: {
-      QFCARD_ASSIGN_OR_RETURN(const double base, base_->EstimateCard(q));
-      return residual_.Correct(fss, base);
-    }
-    case est::ServedTier::kKnn: {
-      QFCARD_ASSIGN_OR_RETURN(const std::vector<float> features,
-                              featurizer_->Featurize(q));
-      const std::optional<double> log = knn_.PredictLog(fss, features);
-      if (!log.has_value()) {
-        return ml_->EstimateCard(q);  // raced to empty; the heavy path answers
-      }
-      return ml::LabelToCard(static_cast<float>(*log));
-    }
-    case est::ServedTier::kMl:
-    case est::ServedTier::kNone:
-      break;
+common::StatusOr<std::vector<est::EstimateResponse>>
+AdaptiveEstimator::EstimateRequests(
+    const std::vector<est::EstimateRequest>& requests) const {
+  obs::TraceSpan span("adapt.predict");
+  obs::ScopedTimer timer("adapt.predict_seconds");
+  const size_t n = requests.size();
+  std::vector<est::EstimateResponse> responses(n);
+  std::vector<uint64_t> fss(n);
+  for (size_t i = 0; i < n; ++i) {
+    fss[i] = requests[i].route_hint != 0
+                 ? requests[i].route_hint
+                 : serve::FeatureSpaceHash(requests[i].query);
+    TierPick pick = PickTier(fss[i]);
+    obs::IncrementCounter("adapt.predictions",
+                          std::string("tier=") + est::ServedTierName(pick.tier));
+    responses[i].tier = pick.tier;
+    responses[i].tier_reason = std::move(pick.reason);
   }
-  return ml_->EstimateCard(q);
+
+  // Cheap tiers inline. Stop at the first failure: the serial loop would
+  // have returned it before reaching any later request.
+  common::Status inline_error = common::Status::Ok();
+  std::vector<size_t> ml_rows;
+  for (size_t i = 0; i < n && inline_error.ok(); ++i) {
+    const query::Query& q = requests[i].query;
+    switch (responses[i].tier) {
+      case est::ServedTier::kHistogramResidual: {
+        const common::StatusOr<double> base = base_->EstimateCard(q);
+        if (!base.ok()) {
+          inline_error = base.status();
+        } else {
+          responses[i].estimate = residual_.Correct(fss[i], base.value());
+        }
+        continue;
+      }
+      case est::ServedTier::kKnn: {
+        const common::StatusOr<std::vector<float>> features =
+            featurizer_->Featurize(q);
+        if (!features.ok()) {
+          inline_error = features.status();
+          continue;
+        }
+        const std::optional<double> log =
+            knn_.PredictLog(fss[i], features.value());
+        if (log.has_value()) {
+          responses[i].estimate = ml::LabelToCard(static_cast<float>(*log));
+          continue;
+        }
+        break;  // raced to empty; the heavy path answers
+      }
+      case est::ServedTier::kMl:
+      case est::ServedTier::kNone:
+        break;
+    }
+    ml_rows.push_back(i);
+  }
+
+  // The heavy path, one batch. Every ML row precedes the first inline
+  // failure, so an ML error is the smallest failing index.
+  if (!ml_rows.empty()) {
+    std::vector<query::Query> ml_queries;
+    ml_queries.reserve(ml_rows.size());
+    for (const size_t i : ml_rows) ml_queries.push_back(requests[i].query);
+    QFCARD_ASSIGN_OR_RETURN(const std::vector<double> estimates,
+                            ml_->EstimateBatch(ml_queries));
+    for (size_t k = 0; k < ml_rows.size(); ++k) {
+      responses[ml_rows[k]].estimate = estimates[k];
+    }
+  }
+  QFCARD_RETURN_IF_ERROR(inline_error);
+  const double elapsed = timer.Seconds();
+  for (est::EstimateResponse& response : responses) {
+    response.latency_seconds = elapsed;
+  }
+  return responses;
 }
 
 common::StatusOr<double> AdaptiveEstimator::EstimateCard(
     const query::Query& q) const {
-  obs::TraceSpan span("adapt.predict");
-  obs::ScopedTimer timer("adapt.predict_seconds");
-  const uint64_t fss = serve::FeatureSpaceHash(q);
-  const TierPick pick = PickTier(fss);
-  obs::IncrementCounter("adapt.predictions",
-                        std::string("tier=") + est::ServedTierName(pick.tier));
-  return EstimateVia(q, fss, pick.tier);
-}
-
-common::StatusOr<est::EstimateResponse> AdaptiveEstimator::Estimate(
-    const est::EstimateRequest& request) const {
-  obs::TraceSpan span("adapt.predict");
-  obs::ScopedTimer timer("adapt.predict_seconds");
-  const uint64_t fss = request.route_hint != 0
-                           ? request.route_hint
-                           : serve::FeatureSpaceHash(request.query);
-  const TierPick pick = PickTier(fss);
-  obs::IncrementCounter("adapt.predictions",
-                        std::string("tier=") + est::ServedTierName(pick.tier));
-  est::EstimateResponse response;
-  QFCARD_ASSIGN_OR_RETURN(response.estimate,
-                          EstimateVia(request.query, fss, pick.tier));
-  response.tier = pick.tier;
-  response.tier_reason = pick.reason;
-  response.latency_seconds = timer.Seconds();
-  return response;
-}
-
-common::StatusOr<std::vector<est::EstimateResponse>>
-AdaptiveEstimator::EstimateRequests(
-    const std::vector<est::EstimateRequest>& requests) const {
-  // Sequential on purpose: every tier answers in O(k*dim) or one synopsis
-  // walk, and per-request tier provenance matters more than fan-out here.
-  // Estimates are identical to the EstimateCard loop (and to the default
-  // parallel EstimateBatch) by construction.
-  std::vector<est::EstimateResponse> responses;
-  responses.reserve(requests.size());
-  for (const est::EstimateRequest& request : requests) {
-    QFCARD_ASSIGN_OR_RETURN(est::EstimateResponse response, Estimate(request));
-    responses.push_back(std::move(response));
-  }
-  return responses;
+  std::vector<est::EstimateRequest> requests(1);
+  requests[0].query = q;
+  QFCARD_ASSIGN_OR_RETURN(const std::vector<est::EstimateResponse> responses,
+                          EstimateRequests(requests));
+  return responses.front().estimate;
 }
 
 common::Status AdaptiveEstimator::Train(

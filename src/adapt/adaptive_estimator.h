@@ -54,9 +54,9 @@ struct AdaptiveOptions {
 /// front serves through serve::ServingEstimator / EstimationServer like any
 /// other estimator, and responses carry the serving tier and the arbiter's
 /// reason (EstimateResponse::tier/tier_reason). Determinism: with a fixed
-/// feedback order, estimates are byte-identical at any QFCARD_THREADS —
-/// every tier is a deterministic function of learner state, and the default
-/// parallel EstimateBatch only fans out the same per-query computation.
+/// feedback order, estimates are byte-identical at any QFCARD_THREADS and
+/// any batch grouping — every tier is a deterministic function of learner
+/// state, and the ML tier's batched answers equal its per-query ones.
 class AdaptiveEstimator : public est::CardinalityEstimator {
  public:
   /// `base` is the cheap synopses estimator the residual tier corrects
@@ -87,11 +87,16 @@ class AdaptiveEstimator : public est::CardinalityEstimator {
   /// benches with hand-rolled loops).
   void IngestFeedback(const FeedbackRecord& record);
 
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
-  common::StatusOr<est::EstimateResponse> Estimate(
-      const est::EstimateRequest& request) const override;
+  /// The one estimate path; EstimateCard is one request of it. Picks each
+  /// request's tier (fss = route_hint, else the query's feature-space
+  /// hash), answers residual requests and kNN requests with neighbors
+  /// inline, and every ML request (plus kNN requests that raced to empty)
+  /// with one ml_->EstimateBatch call. Stamps tier/tier_reason. On failure
+  /// returns the error of the smallest failing index, as the serial
+  /// per-request loop would.
   common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
       const std::vector<est::EstimateRequest>& requests) const override;
+  common::StatusOr<double> EstimateCard(const query::Query& q) const override;
 
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards, double valid_fraction,
@@ -117,9 +122,6 @@ class AdaptiveEstimator : public est::CardinalityEstimator {
   /// The arbitration policy: mode + arbiter decision + availability
   /// fallbacks (kNN without neighbors falls back to ML).
   TierPick PickTier(uint64_t fss) const;
-  /// Computes the estimate for one query through `pick`'s tier.
-  common::StatusOr<double> EstimateVia(const query::Query& q, uint64_t fss,
-                                       est::ServedTier tier) const;
 
   const std::shared_ptr<const est::CardinalityEstimator> base_;
   const std::shared_ptr<const est::CardinalityEstimator> ml_;

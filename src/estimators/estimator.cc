@@ -1,5 +1,7 @@
 #include "estimators/estimator.h"
 
+#include <utility>
+
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -8,11 +10,9 @@ namespace qfcard::est {
 
 common::StatusOr<EstimateResponse> CardinalityEstimator::Estimate(
     const EstimateRequest& request) const {
-  obs::ScopedTimer timer;
-  EstimateResponse response;
-  QFCARD_ASSIGN_OR_RETURN(response.estimate, EstimateCard(request.query));
-  response.latency_seconds = timer.Seconds();
-  return response;
+  QFCARD_ASSIGN_OR_RETURN(std::vector<EstimateResponse> responses,
+                          EstimateRequests({request}));
+  return std::move(responses.front());
 }
 
 common::StatusOr<std::vector<EstimateResponse>>

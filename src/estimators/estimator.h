@@ -17,17 +17,21 @@ namespace qfcard::est {
 /// Bernoulli sampling, QFT x ML model combinations, and the true-cardinality
 /// oracle.
 ///
-/// The API is batch-first (docs/batch_api.md): Estimate/EstimateRequests —
-/// speaking est::EstimateRequest/EstimateResponse — are the public serving
-/// entry points, and EstimateBatch parallelizes across queries via the
-/// global thread pool sized by QFCARD_THREADS. EstimateCard remains for
-/// single interactive queries. Implementations must keep EstimateCard
-/// const-thread-safe so the default EstimateBatch can fan it out; estimators
-/// with per-call random state (see SamplingEstimator) derive a deterministic
-/// per-query stream so batch results are byte-identical to the serial loop
-/// at any pool size — and therefore independent of how a batching layer
-/// groups queries, which is what makes the estimation server's cross-request
-/// micro-batching transparent (docs/serving.md).
+/// The API is batch-first (docs/batch_api.md). Three virtuals carry the
+/// one query -> vector -> cardinality mapping, one per role:
+///   - EstimateCard: the per-query primitive;
+///   - EstimateBatch: the batch primitive (default: EstimateCard fanned out
+///     over the global thread pool sized by QFCARD_THREADS);
+///   - EstimateRequests: the request API, the one place response provenance
+///     (tier, model version, latency) is stamped.
+/// Estimate(request) is not virtual: it is EstimateRequests of one request.
+/// Implementations must keep EstimateCard const-thread-safe so the default
+/// EstimateBatch can fan it out; estimators with per-call random state (see
+/// SamplingEstimator) derive a deterministic per-query stream so batch
+/// results are byte-identical to the serial loop at any pool size — and
+/// therefore independent of how a batching layer groups queries, which is
+/// what makes the estimation server's cross-request micro-batching
+/// transparent (docs/serving.md).
 class CardinalityEstimator {
  public:
   virtual ~CardinalityEstimator() = default;
@@ -35,18 +39,17 @@ class CardinalityEstimator {
   /// Estimated result cardinality of `q` (clamped to >= 1 by convention).
   virtual common::StatusOr<double> EstimateCard(const query::Query& q) const = 0;
 
-  /// Serves one EstimateRequest. The default implementation answers from
-  /// EstimateCard and reports route_id/model_version 0 (no routing, no
-  /// versioning); serve::ServingEstimator fills in the active model version
-  /// and serve::EstimationServer the feature-space route.
-  virtual common::StatusOr<EstimateResponse> Estimate(
+  /// Serves one EstimateRequest: EstimateRequests({request}), element 0.
+  common::StatusOr<EstimateResponse> Estimate(
       const EstimateRequest& request) const;
 
-  /// Serves a batch of requests, one response per request in input order —
-  /// the batch face of the request API. The default forwards the extracted
-  /// queries to EstimateBatch, so backends that override EstimateBatch
-  /// (matrix featurization, batched predict) serve requests at full speed
-  /// without also overriding this.
+  /// Serves a batch of requests, one response per request in input order.
+  /// The default forwards the extracted queries to EstimateBatch, so
+  /// backends that override EstimateBatch (matrix featurization, batched
+  /// predict) serve requests at full speed without also overriding this; it
+  /// reports route_id/model_version 0 (no routing, no versioning).
+  /// serve::ServingEstimator stamps the active model version, the adaptive
+  /// front the serving tier, and serve::EstimationServer the route.
   virtual common::StatusOr<std::vector<EstimateResponse>> EstimateRequests(
       const std::vector<EstimateRequest>& requests) const;
 

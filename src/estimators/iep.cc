@@ -6,11 +6,9 @@
 
 namespace qfcard::est {
 
-common::StatusOr<double> IepEstimator::EstimateCard(
+common::StatusOr<IepEstimator::CallStats> IepEstimator::Expansion(
     const query::Query& q) const {
-  last_call_ = CallStats{};
-
-  // Expand the conjunction of per-attribute disjunctions into DNF terms:
+  // The conjunction of per-attribute disjunctions expands into DNF terms:
   // each term picks one clause per compound predicate.
   int64_t num_terms = 1;
   for (const query::CompoundPredicate& cp : q.predicates) {
@@ -20,13 +18,19 @@ common::StatusOr<double> IepEstimator::EstimateCard(
           "IEP expansion exceeds %d DNF terms (2^n subqueries)", max_terms_));
     }
   }
-  last_call_.dnf_terms = static_cast<int>(num_terms);
+  CallStats stats;
+  stats.dnf_terms = static_cast<int>(num_terms);
+  stats.subqueries = num_terms == 1 ? 1 : (int64_t{1} << num_terms) - 1;
+  return stats;
+}
+
+common::StatusOr<double> IepEstimator::EstimateCard(
+    const query::Query& q) const {
+  QFCARD_ASSIGN_OR_RETURN(const CallStats stats, Expansion(q));
+  const int64_t num_terms = stats.dnf_terms;
 
   // Fast path: already conjunctive.
-  if (num_terms == 1) {
-    last_call_.subqueries = 1;
-    return inner_->EstimateCard(q);
-  }
+  if (num_terms == 1) return inner_->EstimateCard(q);
 
   // Term k is described by the clause index chosen for each compound.
   std::vector<std::vector<int>> term_choices;
@@ -70,22 +74,10 @@ common::StatusOr<double> IepEstimator::EstimateCard(
       sub.predicates.push_back(std::move(cp));
     }
     QFCARD_ASSIGN_OR_RETURN(const double card, inner_->EstimateCard(sub));
-    ++last_call_.subqueries;
     const bool add = (__builtin_popcountll(mask) % 2) == 1;
     estimate += add ? card : -card;
   }
   return std::max(estimate, 1.0);
-}
-
-common::StatusOr<std::vector<double>> IepEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
-  std::vector<double> out;
-  out.reserve(queries.size());
-  for (const query::Query& q : queries) {
-    QFCARD_ASSIGN_OR_RETURN(const double card, EstimateCard(q));
-    out.push_back(card);
-  }
-  return out;
 }
 
 }  // namespace qfcard::est

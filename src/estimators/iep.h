@@ -18,10 +18,11 @@ namespace qfcard::est {
 /// estimates are inconsistent; the final result clamps to >= 1.
 class IepEstimator : public CardinalityEstimator {
  public:
-  /// Per-call bookkeeping (exposed for the Section 6 experiment).
+  /// Size of one query's IEP expansion (the Section 6 experiment's
+  /// subqueries/query column).
   struct CallStats {
     int dnf_terms = 0;
-    int64_t subqueries = 0;
+    int64_t subqueries = 0;  ///< 2^dnf_terms - 1, or 1 when conjunctive
   };
 
   /// `inner` must handle conjunctive queries over the same catalog; not
@@ -31,21 +32,17 @@ class IepEstimator : public CardinalityEstimator {
       : inner_(inner), max_terms_(max_terms) {}
 
   common::StatusOr<double> EstimateCard(const query::Query& q) const override;
-  /// Serial override: EstimateCard mutates the per-call stats below, so the
-  /// parallel base-class fan-out would race. IEP is the paper's
-  /// impracticality baseline; it stays single-threaded by design.
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
   std::string name() const override { return "IEP(" + inner_->name() + ")"; }
   size_t SizeBytes() const override { return inner_->SizeBytes(); }
 
-  /// Statistics of the most recent EstimateCard call.
-  const CallStats& last_call() const { return last_call_; }
+  /// How EstimateCard expands `q`: its DNF term count and the number of
+  /// inner estimates it costs. OutOfRange past `max_terms` DNF terms, the
+  /// same rejection EstimateCard returns.
+  common::StatusOr<CallStats> Expansion(const query::Query& q) const;
 
  private:
   const CardinalityEstimator* inner_;
   int max_terms_;
-  mutable CallStats last_call_;
 };
 
 }  // namespace qfcard::est

@@ -1,6 +1,7 @@
 #ifndef QFCARD_FEATURIZE_CONJUNCTION_H_
 #define QFCARD_FEATURIZE_CONJUNCTION_H_
 
+#include <memory>
 #include <vector>
 
 #include "featurize/feature_schema.h"
@@ -31,8 +32,9 @@ struct ConjunctionOptions {
   bool use_half_values = true;
 
   /// Partitioning strategy; nullptr selects the paper's equi-width
-  /// partitioner. Not owned; must outlive the featurizer.
-  const Partitioner* partitioner = nullptr;
+  /// partitioner. Shared: every featurizer built from these options
+  /// co-owns it, so it lives as long as the longest-lived one.
+  std::shared_ptr<const Partitioner> partitioner;
 
   /// Optional attribute-specific partition budgets (Section 3.2: "it is
   /// easy to extend our approach to choose an attribute-specific n"). When

@@ -138,7 +138,7 @@ common::Status WriteOptions(ml::ByteWriter& writer,
   writer.Write<uint8_t>(opts.exact_small_domains ? 1 : 0);
   writer.Write<uint8_t>(opts.use_half_values ? 1 : 0);
   writer.WriteVector(opts.per_attribute_partitions);
-  const featurize::Partitioner* p = opts.partitioner;
+  const featurize::Partitioner* p = opts.partitioner.get();
   if (p == nullptr ||
       dynamic_cast<const featurize::EquiWidthPartitioner*>(p) != nullptr) {
     writer.Write<uint8_t>(kPartEquiWidth);
@@ -158,15 +158,10 @@ common::Status WriteOptions(ml::ByteWriter& writer,
       "bundle: unknown Partitioner subclass cannot be persisted");
 }
 
-// Decoded options plus the restored partitioner backing opts.partitioner
-// (null when the blob used the stateless equi-width default).
-struct DecodedOptions {
-  featurize::ConjunctionOptions opts;
-  std::unique_ptr<const featurize::Partitioner> partitioner;
-};
-
+// Decodes options, restoring the partitioner (null when the blob used the
+// stateless equi-width default).
 common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
-                           DecodedOptions* out) {
+                           featurize::ConjunctionOptions* out) {
   int32_t max_partitions = 0;
   uint8_t append_sel = 0;
   uint8_t exact_small = 0;
@@ -179,18 +174,18 @@ common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
     return common::Status::InvalidArgument(
         "bundle options: max_partitions out of range");
   }
-  out->opts.max_partitions = max_partitions;
-  out->opts.append_attr_selectivity = append_sel != 0;
-  out->opts.exact_small_domains = exact_small != 0;
-  out->opts.use_half_values = half_values != 0;
-  QFCARD_RETURN_IF_ERROR(reader.ReadVector(&out->opts.per_attribute_partitions));
-  if (!out->opts.per_attribute_partitions.empty() &&
-      static_cast<int>(out->opts.per_attribute_partitions.size()) !=
+  out->max_partitions = max_partitions;
+  out->append_attr_selectivity = append_sel != 0;
+  out->exact_small_domains = exact_small != 0;
+  out->use_half_values = half_values != 0;
+  QFCARD_RETURN_IF_ERROR(reader.ReadVector(&out->per_attribute_partitions));
+  if (!out->per_attribute_partitions.empty() &&
+      static_cast<int>(out->per_attribute_partitions.size()) !=
           num_attributes) {
     return common::Status::InvalidArgument(
         "bundle options: per-attribute budgets disagree with the schema");
   }
-  for (const int b : out->opts.per_attribute_partitions) {
+  for (const int b : out->per_attribute_partitions) {
     if (b < 1 || b > (1 << 20)) {
       return common::Status::InvalidArgument(
           "bundle options: per-attribute budget out of range");
@@ -198,27 +193,22 @@ common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
   }
   uint8_t tag = 0;
   QFCARD_RETURN_IF_ERROR(reader.Read(&tag));
-  if (tag == kPartEquiWidth) {
-    out->partitioner = nullptr;
-    out->opts.partitioner = nullptr;
-    return common::Status::Ok();
-  }
+  if (tag == kPartEquiWidth) return common::Status::Ok();
   std::vector<std::string> names;
   std::vector<std::vector<double>> boundaries;
   QFCARD_RETURN_IF_ERROR(ReadBoundaries(reader, &names, &boundaries));
   if (tag == kPartEquiDepth) {
-    out->partitioner = std::make_unique<featurize::EquiDepthPartitioner>(
+    out->partitioner = std::make_shared<featurize::EquiDepthPartitioner>(
         featurize::EquiDepthPartitioner::FromState(std::move(names),
                                                    std::move(boundaries)));
   } else if (tag == kPartVOptimal) {
-    out->partitioner = std::make_unique<featurize::VOptimalPartitioner>(
+    out->partitioner = std::make_shared<featurize::VOptimalPartitioner>(
         featurize::VOptimalPartitioner::FromState(std::move(names),
                                                   std::move(boundaries)));
   } else {
     return common::Status::InvalidArgument(
         "bundle options: unknown partitioner tag");
   }
-  out->opts.partitioner = out->partitioner.get();
   return common::Status::Ok();
 }
 
@@ -260,15 +250,14 @@ common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadLocal(
   const auto kind = static_cast<featurize::QftKind>(kind_raw);
   featurize::FeatureSchema schema;
   QFCARD_RETURN_IF_ERROR(ReadSchema(reader, &schema));
-  DecodedOptions decoded;
-  QFCARD_RETURN_IF_ERROR(
-      ReadOptions(reader, schema.num_attributes(), &decoded));
+  featurize::ConjunctionOptions opts;
+  QFCARD_RETURN_IF_ERROR(ReadOptions(reader, schema.num_attributes(), &opts));
   if (!reader.AtEnd()) {
     return common::Status::InvalidArgument(
         "bundle: trailing bytes after featurizer state");
   }
   std::unique_ptr<featurize::Featurizer> featurizer =
-      featurize::MakeFeaturizer(kind, std::move(schema), decoded.opts);
+      featurize::MakeFeaturizer(kind, std::move(schema), std::move(opts));
 
   // "<model>+<qft>" — only the model half matters here (the QFT was decoded
   // from the blob); hyperparameters affect training only.
@@ -294,11 +283,9 @@ common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadLocal(
         "bundle: model input dimension does not match the restored "
         "featurizer");
   }
-  auto inner = std::make_unique<est::MlEstimator>(std::move(featurizer),
-                                                  std::move(model));
   return std::unique_ptr<est::CardinalityEstimator>(
-      std::make_unique<LoadedEstimator>(std::move(decoded.partitioner),
-                                        std::move(inner)));
+      std::make_unique<est::MlEstimator>(std::move(featurizer),
+                                         std::move(model)));
 }
 
 common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadMscn(
@@ -328,24 +315,22 @@ common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadMscn(
                           featurize::GlobalFeatureSchema::FromState(
                               std::move(schema), std::move(first_attr),
                               std::move(num_columns)));
-  DecodedOptions decoded;
-  QFCARD_RETURN_IF_ERROR(ReadOptions(reader, num_attributes, &decoded));
+  featurize::ConjunctionOptions opts;
+  QFCARD_RETURN_IF_ERROR(ReadOptions(reader, num_attributes, &opts));
   if (!reader.AtEnd()) {
     return common::Status::InvalidArgument(
         "bundle: trailing bytes after featurizer state");
   }
   featurize::MscnFeaturizer featurizer(
       &catalog, graph != nullptr ? graph : &EmptyGraph(),
-      static_cast<featurize::MscnFeaturizer::PredMode>(mode_raw), decoded.opts,
-      std::move(global));
+      static_cast<featurize::MscnFeaturizer::PredMode>(mode_raw),
+      std::move(opts), std::move(global));
   ml::MscnParams params;
   params.hidden = hidden;
-  auto inner =
+  auto loaded =
       std::make_unique<est::MscnEstimator>(std::move(featurizer), params);
-  QFCARD_RETURN_IF_ERROR(inner->DeserializeModel(bundle.model));
-  return std::unique_ptr<est::CardinalityEstimator>(
-      std::make_unique<LoadedEstimator>(std::move(decoded.partitioner),
-                                        std::move(inner)));
+  QFCARD_RETURN_IF_ERROR(loaded->DeserializeModel(bundle.model));
+  return std::unique_ptr<est::CardinalityEstimator>(std::move(loaded));
 }
 
 }  // namespace
@@ -419,14 +404,9 @@ common::StatusOr<ModelBundle> DecodeBundle(const std::vector<uint8_t>& data) {
 common::StatusOr<ModelBundle> BundleFromEstimator(
     const est::CardinalityEstimator& estimator,
     const std::string& registry_name) {
-  const est::CardinalityEstimator* target = &estimator;
-  while (const auto* loaded = dynamic_cast<const LoadedEstimator*>(target)) {
-    target = &loaded->inner();
-  }
-
   ModelBundle bundle;
   bundle.estimator = registry_name;
-  if (const auto* ml_est = dynamic_cast<const est::MlEstimator*>(target)) {
+  if (const auto* ml_est = dynamic_cast<const est::MlEstimator*>(&estimator)) {
     const featurize::Featurizer& f = ml_est->featurizer();
     QFCARD_ASSIGN_OR_RETURN(const featurize::QftKind kind,
                             featurize::QftKindFromString(f.name()));
@@ -457,14 +437,14 @@ common::StatusOr<ModelBundle> BundleFromEstimator(
     QFCARD_RETURN_IF_ERROR(ml_est->SerializeModel(&bundle.model));
     return bundle;
   }
-  if (const auto* mscn = dynamic_cast<const est::MscnEstimator*>(target)) {
+  if (const auto* mscn = dynamic_cast<const est::MscnEstimator*>(&estimator)) {
     QFCARD_RETURN_IF_ERROR(EncodeMscnFeaturizer(
         mscn->featurizer(), mscn->model().params().hidden, &bundle.featurizer));
     QFCARD_RETURN_IF_ERROR(mscn->SerializeModel(&bundle.model));
     return bundle;
   }
   return common::Status::Unimplemented(
-      "estimator \"" + target->name() +
+      "estimator \"" + estimator.name() +
       "\" has no persistable learned state (only ML estimators bundle)");
 }
 

@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "estimators/estimator.h"
-#include "featurize/partitioner.h"
 #include "query/schema_graph.h"
 #include "storage/catalog.h"
 
@@ -47,45 +46,14 @@ common::StatusOr<ModelBundle> BundleFromEstimator(
 
 /// Reconstructs an estimator from a bundle against `catalog` (used for
 /// structural name lookups only; attribute domains come from the bundle).
-/// `graph` is MSCN's join-edge source; nullptr means no join edges. The
-/// returned estimator owns any restored partitioner state; the bundle's
-/// model input dimension is cross-checked against the restored featurizer
-/// so a mismatched pairing fails cleanly instead of reading out of bounds.
+/// `graph` is MSCN's join-edge source; nullptr means no join edges. Returns
+/// the MlEstimator / MscnEstimator itself; its featurizer co-owns any
+/// restored partitioner. The bundle's model input dimension is
+/// cross-checked against the restored featurizer so a mismatched pairing
+/// fails cleanly instead of reading out of bounds.
 common::StatusOr<std::unique_ptr<est::CardinalityEstimator>>
 EstimatorFromBundle(const ModelBundle& bundle, const storage::Catalog& catalog,
                     const query::SchemaGraph* graph = nullptr);
-
-/// The wrapper EstimatorFromBundle returns: forwards everything to the
-/// reconstructed estimator while owning the restored partitioner (declared
-/// before the estimator so it outlives the featurizer referencing it).
-class LoadedEstimator : public est::CardinalityEstimator {
- public:
-  LoadedEstimator(std::unique_ptr<const featurize::Partitioner> partitioner,
-                  std::unique_ptr<est::CardinalityEstimator> inner)
-      : partitioner_(std::move(partitioner)), inner_(std::move(inner)) {}
-
-  common::StatusOr<double> EstimateCard(const query::Query& q) const override {
-    return inner_->EstimateCard(q);
-  }
-  common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override {
-    return inner_->EstimateBatch(queries);
-  }
-  common::Status Train(const std::vector<query::Query>& queries,
-                       const std::vector<double>& cards, double valid_fraction,
-                       uint64_t seed) override {
-    return inner_->Train(queries, cards, valid_fraction, seed);
-  }
-  std::string name() const override { return inner_->name(); }
-  size_t SizeBytes() const override { return inner_->SizeBytes(); }
-
-  /// The reconstructed estimator, for re-bundling a loaded model.
-  const est::CardinalityEstimator& inner() const { return *inner_; }
-
- private:
-  std::unique_ptr<const featurize::Partitioner> partitioner_;
-  std::unique_ptr<est::CardinalityEstimator> inner_;
-};
 
 }  // namespace qfcard::serve
 

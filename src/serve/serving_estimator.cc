@@ -36,31 +36,14 @@ common::StatusOr<double> ServingEstimator::EstimateCard(
   return model->EstimateCard(q);
 }
 
-common::StatusOr<est::EstimateResponse> ServingEstimator::Estimate(
-    const est::EstimateRequest& request) const {
+common::StatusOr<std::vector<est::EstimateResponse>>
+ServingEstimator::EstimateRequests(
+    const std::vector<est::EstimateRequest>& requests) const {
   obs::ScopedTimer timer;
   // Version label read before the model pin: after a concurrent Swap the
   // response may pair the new model with the old label (harmless,
   // observability-only) but never the reverse — mirroring the gauge's
   // ordering contract (docs/serving.md).
-  const uint64_t version = version_.load(std::memory_order_relaxed);
-  const std::shared_ptr<const est::CardinalityEstimator> model =
-      active_.load(std::memory_order_acquire);
-  // Delegate to the model's own request path so provenance it stamps (the
-  // adaptive front's tier/tier_reason, docs/adaptive.md) survives; the
-  // default implementation answers from EstimateCard, so estimates are
-  // byte-identical either way.
-  QFCARD_ASSIGN_OR_RETURN(est::EstimateResponse response,
-                          model->Estimate(request));
-  response.model_version = version;
-  response.latency_seconds = timer.Seconds();
-  return response;
-}
-
-common::StatusOr<std::vector<est::EstimateResponse>>
-ServingEstimator::EstimateRequests(
-    const std::vector<est::EstimateRequest>& requests) const {
-  obs::ScopedTimer timer;
   const uint64_t version = version_.load(std::memory_order_relaxed);
   // One acquire-load pins one fully-published model for the whole batch; a
   // concurrent Swap can never tear the batch across two models.
@@ -69,7 +52,7 @@ ServingEstimator::EstimateRequests(
   // Delegate to the model's request path (not EstimateBatch directly) so
   // inner-stamped provenance — the adaptive front's tier/tier_reason —
   // reaches the client. The default implementation forwards the extracted
-  // queries to EstimateBatch, so estimates are byte-identical either way.
+  // queries to EstimateBatch, so estimates equal EstimateBatch's.
   QFCARD_ASSIGN_OR_RETURN(std::vector<est::EstimateResponse> responses,
                           model->EstimateRequests(requests));
   const double elapsed = timer.Seconds();
@@ -82,20 +65,10 @@ ServingEstimator::EstimateRequests(
 
 common::StatusOr<std::vector<double>> ServingEstimator::EstimateBatch(
     const std::vector<query::Query>& queries) const {
-  // Legacy entry point: forwards through the request API so both speak one
-  // code path (docs/batch_api.md deprecation note).
-  std::vector<est::EstimateRequest> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].query = queries[i];
-  }
-  QFCARD_ASSIGN_OR_RETURN(const std::vector<est::EstimateResponse> responses,
-                          EstimateRequests(requests));
-  std::vector<double> out;
-  out.reserve(responses.size());
-  for (const est::EstimateResponse& response : responses) {
-    out.push_back(response.estimate);
-  }
-  return out;
+  // Pinned once: the whole batch runs against one model.
+  const std::shared_ptr<const est::CardinalityEstimator> model =
+      active_.load(std::memory_order_acquire);
+  return model->EstimateBatch(queries);
 }
 
 common::Status ServingEstimator::Train(

@@ -39,16 +39,12 @@ class ServingEstimator : public est::CardinalityEstimator {
 
   common::StatusOr<double> EstimateCard(const query::Query& q) const override;
 
-  /// Request API (docs/batch_api.md): pins the active model once for the
-  /// whole call and stamps each response with the served model version.
-  common::StatusOr<est::EstimateResponse> Estimate(
-      const est::EstimateRequest& request) const override;
+  /// Both batch entry points pin the active model once for the whole call,
+  /// so a concurrent Swap never splits one batch across two models.
+  /// EstimateRequests also stamps each response with the served model
+  /// version (docs/batch_api.md).
   common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
       const std::vector<est::EstimateRequest>& requests) const override;
-
-  /// Deprecated entry point: forwards to EstimateRequests and strips the
-  /// responses down to the bare estimates (see docs/batch_api.md). New
-  /// callers should use EstimateRequests and keep the provenance fields.
   common::StatusOr<std::vector<double>> EstimateBatch(
       const std::vector<query::Query>& queries) const override;
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "adapt/feedback_bus.h"
 #include "adapt/online_knn.h"
 #include "adapt/residual.h"
+#include "common/status.h"
 #include "estimators/registry.h"
 #include "featurize/extensions.h"
 #include "featurize/feature_schema.h"
@@ -447,6 +449,54 @@ TEST(AdaptiveEstimatorTest, RequestBatchMatchesSerialLoopByteForByte) {
   ASSERT_TRUE(cards.ok());
   EXPECT_EQ(cards.value()[0], batch.value()[0].estimate);
   EXPECT_EQ(cards.value()[1], batch.value()[5].estimate);
+
+  // Mixed tiers in one batch: in kNN-only mode with feedback on
+  // SmallQuery's route alone, SmallQuery requests take the kNN tier while
+  // a b-column query's route is empty and falls back to ML.
+  const std::unique_ptr<AdaptiveEstimator> knn =
+      fx.Make(AdaptiveMode::kKnnOnly);
+  for (int i = 0; i < 4; ++i) {
+    knn->IngestFeedback(Feedback(SmallQuery(2.0 + i), 3.0 + i));
+  }
+  const auto request_for = [](query::Query q) {
+    est::EstimateRequest request;
+    request.query = std::move(q);
+    return request;
+  };
+  const auto b_query = [](double value) {
+    query::Query q = testutil::SingleTableQuery("small");
+    testutil::AddPredicate(q, 1, query::CmpOp::kGe, value);
+    return q;
+  };
+  std::vector<est::EstimateRequest> mixed = {
+      request_for(SmallQuery(3.5)), request_for(b_query(20.0)),
+      request_for(SmallQuery(7.0)), request_for(b_query(60.0))};
+  const auto mixed_batch = knn->EstimateRequests(mixed);
+  ASSERT_TRUE(mixed_batch.ok()) << mixed_batch.status().ToString();
+  std::set<est::ServedTier> tiers;
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    const auto one = knn->Estimate(mixed[i]);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ(mixed_batch.value()[i].estimate, one.value().estimate) << i;
+    EXPECT_EQ(mixed_batch.value()[i].tier, one.value().tier) << i;
+    EXPECT_EQ(mixed_batch.value()[i].tier_reason, one.value().tier_reason);
+    tiers.insert(one.value().tier);
+  }
+  EXPECT_EQ(tiers,
+            (std::set<est::ServedTier>{est::ServedTier::kKnn,
+                                       est::ServedTier::kMl}));
+
+  // Two requests on unknown tables fail with different messages; the batch
+  // returns the first one's error, as the serial loop would.
+  mixed.insert(mixed.begin() + 1,
+               request_for(testutil::SingleTableQuery("missing_a")));
+  mixed.push_back(request_for(testutil::SingleTableQuery("missing_b")));
+  const common::Status first = knn->Estimate(mixed[1]).status();
+  const common::Status last = knn->Estimate(mixed.back()).status();
+  ASSERT_FALSE(first.ok());
+  ASSERT_NE(first, last);
+  EXPECT_EQ(knn->EstimateRequests(mixed).status(), first);
+  EXPECT_EQ(knn->EstimateCard(mixed[1].query).status(), first);
 }
 
 TEST(AdaptiveEstimatorTest, MlHotSwapResetsTheMlWindows) {

@@ -105,6 +105,17 @@ class AnalyzeSelfTest(unittest.TestCase):
         # The wrong-rule suppression on mismatched_ must NOT silence.
         self.assertIn("mismatched_", out)
 
+    def test_mutable_members_checked_without_a_mutex(self):
+        # Cache owns no mutex: its bare mutable member is a finding (a
+        # const-method write races), while the atomic, the justified
+        # suppression, and the plain (non-mutable) member stay silent.
+        cache = [m for f, _, r, m in self.findings
+                 if r == "guarded-by" and "'Cache'" in m]
+        self.assertEqual(len(cache), 1, self.proc.stdout)
+        self.assertIn("member 'last_hit_' is mutable", cache[0])
+        for silent in ("hits_", "memo_", "capacity_"):
+            self.assertNotIn(silent, self.proc.stdout)
+
     def test_reasonless_suppression_is_a_finding(self):
         lazy = [(f, l, r, m) for f, l, r, m in self.findings
                 if "suppression has no reason" in m]

@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "estimators/iep.h"
 #include "estimators/registry.h"
 #include "featurize/extensions.h"
 #include "featurize/feature_schema.h"
@@ -117,6 +118,46 @@ TEST_F(BatchApiTest, EstimateBatchMatchesSerialLoop) {
       const std::vector<double> batch =
           estimator->EstimateBatch(f.queries).value();
       EXPECT_EQ(serial, batch) << name << " at " << threads << " threads";
+    }
+  }
+
+  // IEP over the oracle and over gb+conjunctive: IEP has no batch override,
+  // so this pins the base fan-out over its const EstimateCard. The inner
+  // GB model trains on the fixture's conjunctive queries (one DNF term);
+  // queries past the expansion guard are left out, since one rejected query
+  // fails the whole batch.
+  const std::unique_ptr<CardinalityEstimator> oracle =
+      MakeEstimator("true", f.catalog, opts).value();
+  const std::unique_ptr<CardinalityEstimator> conj =
+      MakeEstimator("gb+conjunctive", f.catalog, opts).value();
+  const IepEstimator oracle_iep(oracle.get(), /*max_terms=*/4);
+  const IepEstimator conj_iep(conj.get(), /*max_terms=*/4);
+  std::vector<query::Query> conj_queries;
+  std::vector<double> conj_cards;
+  std::vector<query::Query> expandable;
+  for (size_t i = 0; i < f.queries.size(); ++i) {
+    const auto expansion = oracle_iep.Expansion(f.queries[i]);
+    if (!expansion.ok()) continue;
+    expandable.push_back(f.queries[i]);
+    if (expansion.value().dnf_terms == 1) {
+      conj_queries.push_back(f.queries[i]);
+      conj_cards.push_back(f.cards[i]);
+    }
+  }
+  ASSERT_GT(expandable.size(), conj_queries.size()) << "no disjunctive query";
+  common::SetGlobalThreads(1);
+  QFCARD_CHECK_OK(conj->Train(conj_queries, conj_cards, 0.1, 5));
+  for (const IepEstimator* iep : {&oracle_iep, &conj_iep}) {
+    common::SetGlobalThreads(1);
+    std::vector<double> serial;
+    for (const query::Query& q : expandable) {
+      serial.push_back(iep->EstimateCard(q).value());
+    }
+    for (const int threads : {1, 4}) {
+      common::SetGlobalThreads(threads);
+      const std::vector<double> batch = iep->EstimateBatch(expandable).value();
+      EXPECT_EQ(serial, batch) << iep->name() << " at " << threads
+                               << " threads";
     }
   }
 }

@@ -285,8 +285,10 @@ TEST(IepEstimatorTest, SubqueryCountIsExponential) {
   AddCompound(q, 0, {{{CmpOp::kLe, 20}}, {{CmpOp::kGe, 80}}});
   AddCompound(q, 1, {{{CmpOp::kLe, 30}}, {{CmpOp::kGe, 70}}});
   ASSERT_TRUE(iep.EstimateCard(q).ok());
-  EXPECT_EQ(iep.last_call().dnf_terms, 4);
-  EXPECT_EQ(iep.last_call().subqueries, 15);
+  const auto expansion = iep.Expansion(q);
+  ASSERT_TRUE(expansion.ok()) << expansion.status();
+  EXPECT_EQ(expansion.value().dnf_terms, 4);
+  EXPECT_EQ(expansion.value().subqueries, 15);
 }
 
 TEST(IepEstimatorTest, RejectsBlowUp) {
@@ -298,6 +300,7 @@ TEST(IepEstimatorTest, RejectsBlowUp) {
   AddCompound(q, 1, {{{CmpOp::kLe, 30}}, {{CmpOp::kGe, 70}}});
   EXPECT_EQ(iep.EstimateCard(q).status().code(),
             common::StatusCode::kOutOfRange);
+  EXPECT_EQ(iep.Expansion(q).status().code(), common::StatusCode::kOutOfRange);
 }
 
 TEST(IepEstimatorTest, ConjunctiveFastPath) {
@@ -307,7 +310,10 @@ TEST(IepEstimatorTest, ConjunctiveFastPath) {
   query::Query q = SingleTableQuery("uni");
   AddCompound(q, 0, {{{CmpOp::kLe, 50}}});
   ASSERT_TRUE(iep.EstimateCard(q).ok());
-  EXPECT_EQ(iep.last_call().subqueries, 1);
+  const auto expansion = iep.Expansion(q);
+  ASSERT_TRUE(expansion.ok()) << expansion.status();
+  EXPECT_EQ(expansion.value().dnf_terms, 1);
+  EXPECT_EQ(expansion.value().subqueries, 1);
 }
 
 TEST(MlEstimatorTest, TrainsAndEstimates) {

@@ -135,15 +135,49 @@ TEST(SerializeRoundTrip, NnComplex) {
   ExpectRoundTrip("nn+complex", SmallOptions());
 }
 
+/// An equi-depth partitioner over the fixture table, budget 16.
+std::shared_ptr<const featurize::Partitioner> EquiDepth16() {
+  return std::make_shared<featurize::EquiDepthPartitioner>(
+      featurize::EquiDepthPartitioner::FromTable(GetFixture().catalog.table(0),
+                                                 16));
+}
+
 TEST(SerializeRoundTrip, GbConjunctiveWithEquiDepthPartitioner) {
-  const Fixture& fx = GetFixture();
   est::EstimatorOptions opts = SmallOptions();
-  // Static so the partitioner outlives the estimator inside ExpectRoundTrip.
-  static const auto* partitioner = new featurize::EquiDepthPartitioner(
-      featurize::EquiDepthPartitioner::FromTable(fx.catalog.table(0), 16));
-  opts.conj.partitioner = partitioner;
+  opts.conj.partitioner = EquiDepth16();
   opts.conj.max_partitions = 16;
   ExpectRoundTrip("gb+conjunctive", opts);
+}
+
+// The featurizer co-owns its partitioner: with every caller-held handle
+// gone, the built and the loaded estimator still featurize through a live
+// partitioner (a dangling one is a use-after-free under ASan), and the
+// partitioner dies with the last estimator holding it.
+TEST(SerializeRoundTrip, EstimatorsOwnTheirPartitioner) {
+  const Fixture& fx = GetFixture();
+  std::weak_ptr<const featurize::Partitioner> watch;
+  std::unique_ptr<est::CardinalityEstimator> built;
+  {
+    est::EstimatorOptions opts = SmallOptions();
+    opts.conj.partitioner = EquiDepth16();
+    opts.conj.max_partitions = 16;
+    watch = opts.conj.partitioner;
+    built = est::MakeEstimator("gb+conjunctive", fx.catalog, opts).value();
+  }
+  ASSERT_FALSE(watch.expired());
+  QFCARD_CHECK_OK(
+      built->Train(fx.train_queries, fx.train_cards, 0.15, 20260806));
+  const std::vector<double> before =
+      built->EstimateBatch(fx.test_queries).value();
+
+  const ModelBundle bundle =
+      BundleFromEstimator(*built, "gb+conjunctive").value();
+  built.reset();
+  EXPECT_TRUE(watch.expired());
+
+  const std::unique_ptr<est::CardinalityEstimator> loaded =
+      EstimatorFromBundle(bundle, fx.catalog).value();
+  EXPECT_EQ(loaded->EstimateBatch(fx.test_queries).value(), before);
 }
 
 TEST(SerializeRoundTrip, MscnOriginal) {

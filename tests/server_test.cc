@@ -12,11 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "adapt/adaptive_estimator.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "estimators/registry.h"
 #include "estimators/request.h"
+#include "featurize/extensions.h"
+#include "featurize/feature_schema.h"
 #include "query/query.h"
 #include "serve/fss.h"
 #include "serve/router.h"
@@ -227,7 +230,7 @@ TEST(RequestApi, BaseEstimatorDefaultsMatchEstimateCard) {
   EXPECT_GE(response->latency_seconds, 0.0);
 }
 
-TEST(RequestApi, ServingEstimatorStampsVersionAndForwardsLegacyBatch) {
+TEST(RequestApi, ServingEstimatorStampsVersionAndMatchesBatch) {
   const storage::Catalog catalog = ServerCatalog();
   const ServingEstimator serving(Postgres(catalog), /*version=*/7);
 
@@ -241,8 +244,8 @@ TEST(RequestApi, ServingEstimatorStampsVersionAndForwardsLegacyBatch) {
   }
   auto responses = serving.EstimateRequests(requests);
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-  // The deprecated bare overload forwards to the request API, so the two
-  // must agree exactly (docs/batch_api.md).
+  // Both entry points pin the active model and reach the same batch
+  // primitive, so the two must agree exactly (docs/batch_api.md).
   const std::vector<double> bare = serving.EstimateBatch(queries).value();
   ASSERT_EQ(responses->size(), bare.size());
   for (size_t i = 0; i < bare.size(); ++i) {
@@ -438,6 +441,45 @@ std::shared_ptr<const est::CardinalityEstimator> TrainedGb(
   }
   QFCARD_CHECK_OK(gb->Train(qs, cards, 0.1, 5));
   return std::shared_ptr<const est::CardinalityEstimator>(std::move(gb));
+}
+
+// A route served by the adaptive front in kOff mode: every request takes
+// the ML tier, which the front answers with one EstimateBatch on the
+// MlEstimator, so the response carries its featurize/predict split.
+TEST(EstimationServer, AdaptiveRouteReportsMlStages) {
+  const storage::Catalog catalog = ServerCatalog();
+  adapt::AdaptiveOptions aopts;
+  aopts.mode = adapt::AdaptiveMode::kOff;
+  const auto front = std::make_shared<const adapt::AdaptiveEstimator>(
+      Postgres(catalog), TrainedGb(catalog),
+      std::shared_ptr<const featurize::Featurizer>(featurize::MakeFeaturizer(
+          featurize::QftKind::kComplex,
+          featurize::FeatureSchema::FromTable(catalog.table(0)))),
+      aopts);
+  ModelRouter router(SharedModelOptions(front));
+  EstimationServer server(&router);
+  server.Start();
+
+  std::vector<est::EstimateRequest> requests;
+  std::vector<query::Query> queries;
+  for (int i = 0; i < 12; ++i) {
+    est::EstimateRequest request;
+    request.query = i % 2 == 0 ? ShapeA(3.0 * i, 6.0) : ShapeB(i % 11, i % 7);
+    queries.push_back(request.query);
+    requests.push_back(std::move(request));
+  }
+  const auto responses = server.EstimateMany(requests);
+  server.Stop();
+
+  const std::vector<double> direct = front->EstimateBatch(queries).value();
+  ASSERT_EQ(responses.size(), direct.size());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+    EXPECT_EQ(responses[i]->estimate, direct[i]) << i;
+    EXPECT_EQ(responses[i]->tier, est::ServedTier::kMl);
+    EXPECT_GT(responses[i]->stages.featurize_seconds, 0.0) << i;
+    EXPECT_GT(responses[i]->stages.predict_seconds, 0.0) << i;
+  }
 }
 
 class TracedServerTest : public ::testing::Test {

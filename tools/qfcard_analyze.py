@@ -15,8 +15,11 @@ layer            The `#include` graph over src/ must be acyclic and respect
 guarded-by       Every class that owns a common::Mutex must annotate its
                  mutable data members with QFCARD_GUARDED_BY /
                  QFCARD_PT_GUARDED_BY (atomics, consts, mutexes, and
-                 condvars are exempt). Catches members added after the
-                 Clang thread-safety retrofit that silently escape the
+                 condvars are exempt). In any class, a `mutable` data
+                 member — written through const methods, which the repo
+                 calls concurrently — must likewise be atomic, a
+                 Mutex/CondVar, or annotated. Catches members added after
+                 the Clang thread-safety retrofit that silently escape the
                  analysis.
 lock-order       Nested MutexLock scopes and QFCARD_REQUIRES annotations are
                  extracted into a static lock-acquisition graph ("A held
@@ -519,10 +522,9 @@ class Analyzer:
 
         # ---- guarded-by coverage -----------------------------------------
         for cls, mutexes in sorted(class_mutexes.items()):
-            if not mutexes:
-                continue
             for src, idx, stmt, offset in class_members[cls]:
-                self._check_member(src, idx, stmt, offset, cls, mutexes)
+                if mutexes or self.MUTABLE_RE.search(stmt):
+                    self._check_member(src, idx, stmt, offset, cls, mutexes)
 
         # ---- lock-order edges --------------------------------------------
         # Direct (lexical nesting / REQUIRES) edges.
@@ -597,6 +599,7 @@ class Analyzer:
             return
         edges.setdefault((frm, to), {"src": src, "idx": idx, "via": via})
 
+    MUTABLE_RE = re.compile(r"\bmutable\b")
     MEMBER_NAME_RE = re.compile(r"([A-Za-z]\w*_)\s*(\[[^\]]*\])?\s*$")
     MEMBER_EXEMPT_RE = re.compile(
         r"\bconst\b|\bstd::atomic\b|\b(?:common::)?Mutex\b"
@@ -621,10 +624,13 @@ class Analyzer:
         pos = stmt.find(m.group(1))
         if pos >= 0:
             idx = src.line_of(offset + pos) - 1
+        why = (f"owns mutex(es) {', '.join(sorted(set(mutexes)))} but "
+               f"member '{m.group(1)}'" if mutexes else
+               f"member '{m.group(1)}' is mutable (written by const methods, "
+               "which run concurrently) but")
         self.report(
             src, idx, "guarded-by",
-            f"class '{cls}' owns mutex(es) {', '.join(sorted(set(mutexes)))} "
-            f"but member '{m.group(1)}' has no QFCARD_GUARDED_BY / "
+            f"class '{cls}' {why} has no QFCARD_GUARDED_BY / "
             "QFCARD_PT_GUARDED_BY annotation; declare its guard, make it "
             "atomic/const, or suppress with the reason it needs no lock")
 
