@@ -41,9 +41,8 @@ common::StatusOr<double> MlEstimator::EstimateCard(
 common::StatusOr<std::vector<double>> MlEstimator::EstimateBatch(
     const std::vector<query::Query>& queries) const {
   obs::TraceSpan span("estimate.batch");
-  const std::string backend_label = "backend=" + name();
-  obs::ScopedTimer timer("estimate.batch_seconds", backend_label);
-  obs::IncrementCounter("estimate.queries", backend_label,
+  obs::ScopedTimer timer("estimate.batch_seconds", backend_label_);
+  obs::IncrementCounter("estimate.queries", backend_label_,
                         static_cast<uint64_t>(queries.size()));
   ml::Matrix x(static_cast<int>(queries.size()), featurizer_->dim());
   {
@@ -51,14 +50,14 @@ common::StatusOr<std::vector<double>> MlEstimator::EstimateBatch(
     // span, nested under estimate.featurize here).
     obs::TraceSpan featurize_span("estimate.featurize");
     obs::ScopedTimer featurize_timer("estimate.featurize_seconds",
-                                     backend_label);
+                                     backend_label_);
     QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
         {queries.data(), queries.size()}, x.data().data()));
     obs::StageCapture::Report(obs::Stage::kFeaturize,
                               featurize_timer.Seconds());
   }
   obs::TraceSpan predict_span("estimate.predict");
-  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label);
+  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label_);
   const std::vector<float> preds = model_->PredictBatch(x);
   std::vector<double> out(queries.size());
   for (size_t i = 0; i < out.size(); ++i) out[i] = ml::LabelToCard(preds[i]);
@@ -123,21 +122,20 @@ common::StatusOr<double> MscnEstimator::EstimateCard(
 common::StatusOr<std::vector<double>> MscnEstimator::EstimateBatch(
     const std::vector<query::Query>& queries) const {
   obs::TraceSpan span("estimate.batch");
-  const std::string backend_label = "backend=" + name();
-  obs::ScopedTimer timer("estimate.batch_seconds", backend_label);
-  obs::IncrementCounter("estimate.queries", backend_label,
+  obs::ScopedTimer timer("estimate.batch_seconds", backend_label_);
+  obs::IncrementCounter("estimate.queries", backend_label_,
                         static_cast<uint64_t>(queries.size()));
   std::vector<featurize::MscnSample> samples;
   {
     obs::TraceSpan featurize_span("estimate.featurize");
     obs::ScopedTimer featurize_timer("estimate.featurize_seconds",
-                                     backend_label);
+                                     backend_label_);
     QFCARD_RETURN_IF_ERROR(FeaturizeMscnBatch(featurizer_, queries, &samples));
     obs::StageCapture::Report(obs::Stage::kFeaturize,
                               featurize_timer.Seconds());
   }
   obs::TraceSpan predict_span("estimate.predict");
-  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label);
+  obs::ScopedTimer predict_timer("estimate.predict_seconds", backend_label_);
   std::vector<double> out(queries.size());
   common::GlobalPool().ParallelFor(
       static_cast<int64_t>(queries.size()), [&](int64_t i) {

@@ -2,6 +2,7 @@
 #define QFCARD_ESTIMATORS_ML_ESTIMATOR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "estimators/estimator.h"
@@ -20,7 +21,9 @@ class MlEstimator : public CardinalityEstimator {
  public:
   MlEstimator(std::unique_ptr<featurize::Featurizer> featurizer,
               std::unique_ptr<ml::Model> model)
-      : featurizer_(std::move(featurizer)), model_(std::move(model)) {}
+      : featurizer_(std::move(featurizer)),
+        model_(std::move(model)),
+        backend_label_("backend=" + MlEstimator::name()) {}
 
   /// Trains the model on labeled queries. `cards` are true cardinalities
   /// (natural space); a `valid_fraction` tail split drives early stopping.
@@ -55,6 +58,8 @@ class MlEstimator : public CardinalityEstimator {
  private:
   std::unique_ptr<featurize::Featurizer> featurizer_;
   std::unique_ptr<ml::Model> model_;
+  // Metric label of every estimate.* series this estimator reports.
+  const std::string backend_label_;
 };
 
 /// Global-model estimator: the MSCN set featurization plus the Mscn network
@@ -65,7 +70,8 @@ class MscnEstimator : public CardinalityEstimator {
   MscnEstimator(featurize::MscnFeaturizer featurizer, ml::MscnParams params)
       : featurizer_(std::move(featurizer)),
         model_(featurizer_.table_dim(), featurizer_.join_dim(),
-               featurizer_.pred_dim(), params) {}
+               featurizer_.pred_dim(), params),
+        backend_label_("backend=" + MscnEstimator::name()) {}
 
   /// `seed` is unused: MSCN's initialization seed lives in MscnParams.
   common::Status Train(const std::vector<query::Query>& queries,
@@ -101,6 +107,8 @@ class MscnEstimator : public CardinalityEstimator {
  private:
   featurize::MscnFeaturizer featurizer_;
   ml::Mscn model_;
+  // Metric label of every estimate.* series this estimator reports.
+  const std::string backend_label_;
 };
 
 }  // namespace qfcard::est

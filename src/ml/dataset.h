@@ -60,8 +60,9 @@ class Model {
   virtual common::Status Fit(const Dataset& train, const Dataset* valid) = 0;
 
   /// Predicts the label for a feature vector of length dim(). Must be
-  /// const-thread-safe: PredictBatch calls it concurrently for distinct
-  /// rows (all models here are pure functions of frozen parameters).
+  /// const-thread-safe: the default PredictBatch calls it concurrently for
+  /// distinct rows (all models here are pure functions of frozen
+  /// parameters).
   virtual float Predict(const float* x) const = 0;
 
   /// Approximate serialized model size, for the Section 5.7 comparison.
@@ -87,10 +88,13 @@ class Model {
   /// the wrong featurizer fails cleanly instead of reading out of bounds.
   virtual int InputDim() const { return -1; }
 
-  /// Predicts all rows of `x`, in row order, fanning Predict out over the
-  /// global thread pool (QFCARD_THREADS). Each row writes its own output
-  /// slot, so results are identical at every pool size.
-  std::vector<float> PredictBatch(const Matrix& x) const;
+  /// Predicts all rows of `x`, in row order: the batch primitive every
+  /// batched estimate runs. Overrides must return, for every row, the bits
+  /// Predict returns for it, at every pool size. The default fans Predict
+  /// out over the global thread pool (QFCARD_THREADS), one row per index;
+  /// GradientBoosting overrides it with a blocked walk of its compiled
+  /// ensemble.
+  virtual std::vector<float> PredictBatch(const Matrix& x) const;
 };
 
 }  // namespace qfcard::ml

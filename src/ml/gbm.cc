@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/thread_pool.h"
 #include "ml/metrics.h"
 #include "ml/serialize.h"
 
@@ -11,7 +12,7 @@ namespace qfcard::ml {
 
 common::Status GradientBoosting::Fit(const Dataset& train,
                                      const Dataset* valid) {
-  trees_.clear();
+  TruncateTrees(0);
   if (train.num_rows() == 0) {
     return common::Status::InvalidArgument("empty training set");
   }
@@ -62,16 +63,15 @@ common::Status GradientBoosting::Fit(const Dataset& train,
         valid_pred[static_cast<size_t>(i)] += lr * tree.Predict(valid->x.Row(i));
       }
     }
-    trees_.push_back(std::move(tree));
+    AppendTree(tree.nodes());
 
     if (valid != nullptr && params_.early_stopping_rounds > 0) {
       const double rmse = Rmse(valid_pred, valid->y);
       if (rmse < best_valid_rmse - 1e-9) {
         best_valid_rmse = rmse;
-        best_size = static_cast<int>(trees_.size());
-      } else if (static_cast<int>(trees_.size()) - best_size >=
-                 params_.early_stopping_rounds) {
-        trees_.resize(static_cast<size_t>(best_size));
+        best_size = num_trees();
+      } else if (num_trees() - best_size >= params_.early_stopping_rounds) {
+        TruncateTrees(best_size);
         break;
       }
     }
@@ -79,28 +79,138 @@ common::Status GradientBoosting::Fit(const Dataset& train,
   return common::Status::Ok();
 }
 
-float GradientBoosting::Predict(const float* x) const {
-  double acc = base_;
-  for (const RegressionTree& tree : trees_) {
-    acc += params_.learning_rate * tree.Predict(x);
+void GradientBoosting::AppendTree(const std::vector<TreeNode>& nodes) {
+  const int32_t root = static_cast<int32_t>(feature_.size());
+  std::vector<int32_t> depth(nodes.size(), 0);
+  int32_t tree_depth = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const TreeNode& node = nodes[i];
+    const int32_t self = root + static_cast<int32_t>(i);
+    value_.push_back(node.value);
+    if (node.feature < 0) {
+      feature_.push_back(0);
+      threshold_.push_back(std::numeric_limits<float>::quiet_NaN());
+      first_child_.push_back(self - 1);
+      continue;
+    }
+    feature_.push_back(node.feature);
+    threshold_.push_back(node.threshold);
+    first_child_.push_back(root + node.left);
+    // Children follow their parent, so depth[i] is final here.
+    for (const int child : {node.left, node.right}) {
+      int32_t& d = depth[static_cast<size_t>(child)];
+      d = std::max(d, depth[i] + 1);
+      tree_depth = std::max(tree_depth, d);
+    }
   }
-  return static_cast<float>(acc);
+  tree_root_.push_back(root);
+  tree_depth_.push_back(tree_depth);
+}
+
+void GradientBoosting::TruncateTrees(int num_trees) {
+  const size_t trees = static_cast<size_t>(num_trees);
+  const size_t nodes = trees < tree_root_.size()
+                           ? static_cast<size_t>(tree_root_[trees])
+                           : feature_.size();
+  feature_.resize(nodes);
+  threshold_.resize(nodes);
+  first_child_.resize(nodes);
+  value_.resize(nodes);
+  tree_root_.resize(std::min(trees, tree_root_.size()));
+  tree_depth_.resize(tree_root_.size());
+}
+
+std::vector<TreeNode> GradientBoosting::TreeNodes(int t) const {
+  const size_t tree = static_cast<size_t>(t);
+  const int32_t root = tree_root_[tree];
+  const int32_t end = tree + 1 < tree_root_.size()
+                          ? tree_root_[tree + 1]
+                          : static_cast<int32_t>(feature_.size());
+  std::vector<TreeNode> nodes;
+  nodes.reserve(static_cast<size_t>(end - root));
+  for (int32_t n = root; n < end; ++n) {
+    const size_t i = static_cast<size_t>(n);
+    TreeNode node;
+    node.value = value_[i];
+    if (first_child_[i] != n - 1) {  // internal: children follow it
+      node.feature = feature_[i];
+      node.threshold = threshold_[i];
+      node.left = first_child_[i] - root;
+      node.right = node.left + 1;
+    }
+    nodes.push_back(node);
+  }
+  return nodes;
+}
+
+void GradientBoosting::PredictBlock(const float* x, size_t stride, int rows,
+                                    float* out) const {
+  const int32_t* const feature = feature_.data();
+  const float* const threshold = threshold_.data();
+  const int32_t* const first_child = first_child_.data();
+  const double learning_rate = params_.learning_rate;
+  double acc[kBlockRows];
+  int32_t node[kBlockRows];
+  for (int r = 0; r < rows; ++r) acc[r] = base_;
+  for (size_t t = 0; t < tree_root_.size(); ++t) {
+    for (int r = 0; r < rows; ++r) node[r] = tree_root_[t];
+    // Fixed-depth, branch-free descent; leaves absorb (see gbm.h). The
+    // compare must stay IEEE: a NaN feature or threshold goes right.
+    for (int32_t level = 0; level < tree_depth_[t]; ++level) {
+      for (int r = 0; r < rows; ++r) {
+        const int32_t n = node[r];
+        const float v = x[static_cast<size_t>(r) * stride +
+                          static_cast<size_t>(feature[n])];
+        node[r] = first_child[n] + static_cast<int32_t>(!(v <= threshold[n]));
+      }
+    }
+    for (int r = 0; r < rows; ++r) {
+      acc[r] += learning_rate * value_[static_cast<size_t>(node[r])];
+    }
+  }
+  for (int r = 0; r < rows; ++r) out[r] = static_cast<float>(acc[r]);
+}
+
+float GradientBoosting::Predict(const float* x) const {
+  float out = 0.0f;
+  PredictBlock(x, 0, 1, &out);
+  return out;
+}
+
+std::vector<float> GradientBoosting::PredictBatch(const Matrix& x) const {
+  std::vector<float> out(static_cast<size_t>(x.rows()));
+  const int64_t blocks = (x.rows() + kBlockRows - 1) / kBlockRows;
+  common::GlobalPool().ParallelFor(blocks, [&](int64_t b) {
+    const int begin = static_cast<int>(b) * kBlockRows;
+    PredictBlock(x.Row(begin), static_cast<size_t>(x.cols()),
+                 std::min(kBlockRows, x.rows() - begin),
+                 out.data() + begin);
+  });
+  return out;
 }
 
 size_t GradientBoosting::SizeBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const RegressionTree& tree : trees_) bytes += tree.SizeBytes();
-  return bytes;
+  // Section 5.7 counts a GB model as a fixed header plus sizeof(TreeNode)
+  // per node, the unit of the tree builder and of the serialized form. The
+  // header is a vtable pointer, the parameters, the base, the input
+  // dimension and one tree list, so the layout of the compiled arrays does
+  // not move the reported size.
+  constexpr size_t kHeaderBytes = sizeof(void*) + sizeof(GbmParams) +
+                                  sizeof(float) + sizeof(int) +
+                                  sizeof(std::vector<RegressionTree>);
+  return kHeaderBytes + feature_.size() * sizeof(TreeNode);
 }
 
 namespace {
 
 constexpr uint32_t kGbmMagic = 0x5147424d;  // "QGBM"
 
-// A corrupt node list must not survive into Predict, which walks child
-// indices and reads x[feature] unchecked. Trees are serialized in build
-// order — children are always appended after their parent — so requiring
-// child > parent both rejects cycles and guarantees Predict terminates.
+// A corrupt node list must not survive into the compiled walk, which
+// follows child indices and reads x[feature] unchecked. A node is a leaf iff
+// its feature is negative, and a leaf has no children. An internal node's
+// children are adjacent (right == left + 1, the layout the walk needs and
+// RegressionTree::Fit emits) and come after it in build order, which both
+// rejects cycles and bounds the walk by the node count.
 common::Status ValidateTree(const std::vector<TreeNode>& nodes,
                             int num_features) {
   const int n = static_cast<int>(nodes.size());
@@ -109,14 +219,18 @@ common::Status ValidateTree(const std::vector<TreeNode>& nodes,
   }
   for (int i = 0; i < n; ++i) {
     const TreeNode& node = nodes[static_cast<size_t>(i)];
-    const bool leaf = node.left < 0 && node.right < 0;
-    if (leaf) continue;
-    if (node.feature < 0 || node.feature >= num_features) {
+    if (node.feature < 0) {
+      if (node.left != -1 || node.right != -1) {
+        return common::Status::InvalidArgument(
+            "serialized GB tree has a leaf with children");
+      }
+      continue;
+    }
+    if (node.feature >= num_features) {
       return common::Status::InvalidArgument(
           "serialized GB tree references a feature out of range");
     }
-    if (node.left <= i || node.left >= n || node.right <= i ||
-        node.right >= n) {
+    if (node.left <= i || node.left >= n - 1 || node.right != node.left + 1) {
       return common::Status::InvalidArgument(
           "serialized GB tree has a child index out of range");
     }
@@ -132,10 +246,8 @@ common::Status GradientBoosting::Serialize(std::vector<uint8_t>* out) const {
   writer.Write(base_);
   writer.Write(params_.learning_rate);  // needed at prediction time
   writer.Write<int32_t>(num_features_);
-  writer.Write<uint32_t>(static_cast<uint32_t>(trees_.size()));
-  for (const RegressionTree& tree : trees_) {
-    writer.WriteVector(tree.nodes());
-  }
+  writer.Write<uint32_t>(static_cast<uint32_t>(num_trees()));
+  for (int t = 0; t < num_trees(); ++t) writer.WriteVector(TreeNodes(t));
   return common::Status::Ok();
 }
 
@@ -166,20 +278,25 @@ common::Status GradientBoosting::Deserialize(const std::vector<uint8_t>& data) {
     return common::Status::OutOfRange(
         "serialized GB tree count exceeds remaining input");
   }
-  std::vector<RegressionTree> trees;
-  trees.reserve(num_trees);
+  GradientBoosting restored(params_);
+  restored.base_ = base;
+  restored.params_.learning_rate = learning_rate;
+  restored.num_features_ = num_features;
+  restored.tree_root_.reserve(num_trees);
+  restored.tree_depth_.reserve(num_trees);
   for (uint32_t t = 0; t < num_trees; ++t) {
     std::vector<TreeNode> nodes;
     QFCARD_RETURN_IF_ERROR(reader.ReadVector(&nodes));
     QFCARD_RETURN_IF_ERROR(ValidateTree(nodes, num_features));
-    RegressionTree tree;
-    tree.SetNodes(std::move(nodes));
-    trees.push_back(std::move(tree));
+    // Node indices of the compiled arrays are int32.
+    if (nodes.size() > static_cast<size_t>(
+                           std::numeric_limits<int32_t>::max()) -
+                           restored.feature_.size()) {
+      return common::Status::OutOfRange("serialized GB model is too large");
+    }
+    restored.AppendTree(nodes);
   }
-  base_ = base;
-  params_.learning_rate = learning_rate;
-  num_features_ = num_features;
-  trees_ = std::move(trees);
+  *this = std::move(restored);
   return common::Status::Ok();
 }
 

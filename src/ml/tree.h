@@ -52,7 +52,9 @@ struct TreeNode {
 
 /// Histogram-based regression tree: the weak learner of GradientBoosting
 /// (Section 2.2.2's decision trees F_p). Split gain is variance reduction
-/// (equivalently the squared-sum gain for L2 residuals).
+/// (equivalently the squared-sum gain for L2 residuals). GradientBoosting
+/// builds each tree with it and then stores the tree compiled; Predict
+/// here is the plain walk the compiled one is tested against.
 class RegressionTree {
  public:
   struct Params {
@@ -72,9 +74,9 @@ class RegressionTree {
   /// Predicts from a raw (un-binned) feature vector.
   float Predict(const float* x) const;
 
-  size_t SizeBytes() const { return nodes_.size() * sizeof(TreeNode); }
+  /// Nodes in build order: children after their parent, right == left + 1.
   const std::vector<TreeNode>& nodes() const { return nodes_; }
-  /// Restores a tree from its node list (deserialization).
+  /// Restores a tree from its node list.
   void SetNodes(std::vector<TreeNode> nodes) { nodes_ = std::move(nodes); }
 
  private:

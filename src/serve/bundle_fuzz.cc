@@ -1,6 +1,9 @@
 #include "serve/bundle_fuzz.h"
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +13,7 @@
 #include "common/status.h"
 #include "common/str_util.h"
 #include "estimators/registry.h"
+#include "ml/tree.h"
 #include "query/query.h"
 #include "serve/bundle.h"
 #include "storage/catalog.h"
@@ -23,6 +27,49 @@ namespace qfcard::serve {
 namespace {
 
 using est::CardinalityEstimator;
+
+// Overwrites one int field (feature, left or right) of one node of a
+// serialized GradientBoosting payload with a value that probes the
+// structural checks: -1, 0, n - 1, n (n = the tree's node count) or a large
+// index. Random byte writes rarely land on these fields with such values.
+// Returns false when the payload holds no node.
+bool MutateGbNode(std::vector<uint8_t>* payload, common::Rng& rng) {
+  // magic, base, learning rate, input dimension, tree count.
+  constexpr size_t kHeader = sizeof(uint32_t) + sizeof(float) +
+                             sizeof(double) + sizeof(int32_t) +
+                             sizeof(uint32_t);
+  constexpr size_t kFields[3] = {offsetof(ml::TreeNode, feature),
+                                 offsetof(ml::TreeNode, left),
+                                 offsetof(ml::TreeNode, right)};
+  if (payload->size() < kHeader) return false;
+  uint32_t num_trees = 0;
+  std::memcpy(&num_trees, payload->data() + kHeader - sizeof(uint32_t),
+              sizeof(num_trees));
+  // Node lists in payload order: (offset of first node, node count).
+  std::vector<std::pair<size_t, uint64_t>> trees;
+  size_t pos = kHeader;
+  for (uint32_t t = 0; t < num_trees; ++t) {
+    uint64_t n = 0;
+    if (payload->size() - pos < sizeof(n)) break;
+    std::memcpy(&n, payload->data() + pos, sizeof(n));
+    pos += sizeof(n);
+    if (n > (payload->size() - pos) / sizeof(ml::TreeNode)) break;
+    if (n > 0) trees.emplace_back(pos, n);
+    pos += n * sizeof(ml::TreeNode);
+  }
+  if (trees.empty()) return false;
+  const auto& [first, n] = trees[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(trees.size()) - 1))];
+  const size_t node = static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  const int32_t values[5] = {-1, 0, static_cast<int32_t>(n) - 1,
+                             static_cast<int32_t>(n), 1 << 30};
+  const int32_t value = values[rng.UniformInt(0, 4)];
+  std::memcpy(payload->data() + first + node * sizeof(ml::TreeNode) +
+                  kFields[rng.UniformInt(0, 2)],
+              &value, sizeof(value));
+  return true;
+}
 
 // Loader fuzzing (docs/serving.md): train every saveable model family on a
 // tiny workload, round-trip each through the serve bundle container, and
@@ -173,6 +220,28 @@ void LoaderRound(const testing::FuzzRoundContext& ctx) {
         // Parsed despite the damage (e.g. a flipped weight bit): it must
         // still estimate without tripping the sanitizers.
         (void)survivor.value()->EstimateBatch(probe);
+      }
+    }
+
+    // Structural GB mutations: a damaged node list is rejected, or the
+    // model still estimates cleanly.
+    if (std::string(name) != "gb+conj") continue;
+    for (int m = 0; m < 8; ++m) {
+      if (ctx.full()) return;
+      serve::ModelBundle mutated = *decoded;
+      if (!MutateGbNode(&mutated.model, rng)) break;
+      ctx.count_check();
+      auto survivor = serve::EstimatorFromBundle(mutated, catalog);
+      if (!survivor.ok()) continue;
+      const auto estimates = survivor.value()->EstimateBatch(probe);
+      bool clean = estimates.ok();
+      for (size_t i = 0; clean && i < estimates.value().size(); ++i) {
+        clean = std::isfinite(estimates.value()[i]) &&
+                estimates.value()[i] >= 1.0;
+      }
+      if (!clean) {
+        ctx.record_failure("loader-gb-node:" + std::string(name),
+                           "a model with a mutated node estimated badly");
       }
     }
   }

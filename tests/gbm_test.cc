@@ -1,10 +1,14 @@
 #include "ml/gbm.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "ml/metrics.h"
+#include "ml/serialize.h"
 #include "ml/tree.h"
 
 namespace qfcard::ml {
@@ -72,7 +76,7 @@ TEST(RegressionTreeTest, FitsStepFunctionExactly) {
   const float hi = 80.0f;
   EXPECT_FLOAT_EQ(tree.Predict(&lo), -1.0f);
   EXPECT_FLOAT_EQ(tree.Predict(&hi), 3.0f);
-  EXPECT_GT(tree.SizeBytes(), 0u);
+  EXPECT_FALSE(tree.nodes().empty());
 }
 
 TEST(RegressionTreeTest, DepthZeroPredictsMean) {
@@ -225,6 +229,214 @@ TEST(GradientBoostingTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(model.Deserialize({1, 2, 3}).ok());
   std::vector<uint8_t> wrong_magic(16, 0);
   EXPECT_FALSE(model.Deserialize(wrong_magic).ok());
+}
+
+// A GB payload in the Serialize format: header, then one node list per tree.
+std::vector<uint8_t> GbPayload(int num_features, float base,
+                               double learning_rate,
+                               const std::vector<std::vector<TreeNode>>& trees) {
+  std::vector<uint8_t> out;
+  ByteWriter writer(&out);
+  writer.Write<uint32_t>(0x5147424d);  // "QGBM"
+  writer.Write(base);
+  writer.Write(learning_rate);
+  writer.Write<int32_t>(num_features);
+  writer.Write<uint32_t>(static_cast<uint32_t>(trees.size()));
+  for (const std::vector<TreeNode>& nodes : trees) writer.WriteVector(nodes);
+  return out;
+}
+
+TreeNode Leaf(float value) {
+  TreeNode node;
+  node.value = value;
+  return node;
+}
+
+TreeNode Split(int feature, float threshold, int left) {
+  TreeNode node;
+  node.feature = feature;
+  node.threshold = threshold;
+  node.left = left;
+  node.right = left + 1;
+  return node;
+}
+
+TEST(GradientBoostingTest, DeserializeRejectsMalformedNodes) {
+  const auto rejects = [](const std::vector<TreeNode>& nodes) {
+    GradientBoosting model;
+    return !model.Deserialize(GbPayload(2, 0.0f, 0.1, {nodes})).ok();
+  };
+  ASSERT_FALSE(rejects({Split(0, 0.5f, 1), Leaf(1), Leaf(2)}));
+  // A node with a feature is internal, whatever its child fields say.
+  TreeNode leaf_with_feature = Leaf(1);
+  leaf_with_feature.feature = 0;
+  EXPECT_TRUE(rejects({leaf_with_feature}));
+  // A leaf has no children.
+  TreeNode leaf_with_children = Leaf(1);
+  leaf_with_children.left = 1;
+  leaf_with_children.right = 2;
+  EXPECT_TRUE(rejects({leaf_with_children, Leaf(2), Leaf(3)}));
+  TreeNode one_child_leaf = Leaf(1);
+  one_child_leaf.right = 1;
+  EXPECT_TRUE(rejects({one_child_leaf, Leaf(2)}));
+  // Children of an internal node are adjacent: right == left + 1.
+  TreeNode apart = Split(0, 0.5f, 1);
+  apart.right = 3;
+  EXPECT_TRUE(rejects({apart, Leaf(1), Leaf(2), Leaf(3)}));
+  TreeNode swapped = Split(0, 0.5f, 2);
+  swapped.right = 1;
+  EXPECT_TRUE(rejects({swapped, Leaf(1), Leaf(2)}));
+  // Children come after their parent and inside the tree.
+  EXPECT_TRUE(rejects({Split(0, 0.5f, 0), Leaf(1)}));
+  EXPECT_TRUE(rejects({Split(0, 0.5f, 1), Leaf(1)}));
+  EXPECT_TRUE(rejects({Split(2, 0.5f, 1), Leaf(1), Leaf(2)}));
+}
+
+// The trees of a serialized model as RegressionTrees, and the reference
+// prediction they define: base, plus learning_rate * each tree's leaf in
+// tree order, summed in double.
+struct ReferenceEnsemble {
+  float base = 0.0f;
+  double learning_rate = 0.0;
+  std::vector<RegressionTree> trees;
+
+  static ReferenceEnsemble FromPayload(const std::vector<uint8_t>& payload) {
+    ReferenceEnsemble ref;
+    ByteReader reader(payload);
+    uint32_t magic = 0;
+    int32_t num_features = 0;
+    uint32_t num_trees = 0;
+    EXPECT_TRUE(reader.Read(&magic).ok());
+    EXPECT_TRUE(reader.Read(&ref.base).ok());
+    EXPECT_TRUE(reader.Read(&ref.learning_rate).ok());
+    EXPECT_TRUE(reader.Read(&num_features).ok());
+    EXPECT_TRUE(reader.Read(&num_trees).ok());
+    for (uint32_t t = 0; t < num_trees; ++t) {
+      std::vector<TreeNode> nodes;
+      EXPECT_TRUE(reader.ReadVector(&nodes).ok());
+      ref.trees.emplace_back();
+      ref.trees.back().SetNodes(std::move(nodes));
+    }
+    EXPECT_TRUE(reader.AtEnd());
+    return ref;
+  }
+
+  float Predict(const float* x) const {
+    double acc = base;
+    for (const RegressionTree& tree : trees) {
+      acc += learning_rate * tree.Predict(x);
+    }
+    return static_cast<float>(acc);
+  }
+};
+
+// Rows drawn like the training data, with NaN and +-inf mixed into some.
+Matrix ProbeRows(int rows, int dim, uint64_t seed) {
+  common::Rng rng(seed);
+  Matrix x(rows, dim);
+  const float specials[3] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < dim; ++c) {
+      x.At(r, c) = rng.Bernoulli(0.1)
+                       ? specials[rng.UniformInt(0, 2)]
+                       : static_cast<float>(rng.Uniform(-0.2, 1.2));
+    }
+  }
+  return x;
+}
+
+// PredictBatch and Predict return, byte for byte, what the reference sum
+// over the model's own serialized trees returns.
+void ExpectMatchesReference(const GradientBoosting& model, const Matrix& x) {
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(model.Serialize(&payload).ok());
+  const ReferenceEnsemble ref = ReferenceEnsemble::FromPayload(payload);
+  ASSERT_EQ(static_cast<int>(ref.trees.size()), model.num_trees());
+  std::vector<float> expected(static_cast<size_t>(x.rows()));
+  std::vector<float> single(static_cast<size_t>(x.rows()));
+  for (int r = 0; r < x.rows(); ++r) {
+    expected[static_cast<size_t>(r)] = ref.Predict(x.Row(r));
+    single[static_cast<size_t>(r)] = model.Predict(x.Row(r));
+  }
+  const std::vector<float> batch = model.PredictBatch(x);
+  ASSERT_EQ(batch.size(), expected.size());
+  if (expected.empty()) return;  // memcmp takes no null pointers
+  const size_t bytes = expected.size() * sizeof(float);
+  EXPECT_EQ(std::memcmp(batch.data(), expected.data(), bytes), 0)
+      << "rows=" << x.rows();
+  EXPECT_EQ(std::memcmp(single.data(), expected.data(), bytes), 0)
+      << "rows=" << x.rows();
+}
+
+TEST(GradientBoostingTest, CompiledWalkMatchesTreeReference) {
+  const Dataset train = MakeAdditiveDataset(1500, 41);
+  constexpr int kBlock = GradientBoosting::kBlockRows;
+  for (const int depth : {0, 1, 6, 10}) {
+    GbmParams params;
+    params.num_trees = 25;
+    params.max_depth = depth;
+    params.min_samples_leaf = 2;
+    params.early_stopping_rounds = 0;
+    GradientBoosting model(params);
+    ASSERT_TRUE(model.Fit(train, nullptr).ok());
+    for (const int rows : {0, 1, kBlock - 1, kBlock, kBlock + 1, 1000}) {
+      SCOPED_TRACE(::testing::Message() << "max_depth=" << depth);
+      ExpectMatchesReference(model, ProbeRows(rows, train.dim(), 50 + rows));
+    }
+  }
+}
+
+TEST(GradientBoostingTest, CompiledWalkMatchesReferenceOnChainTrees) {
+  // Two maximally unbalanced trees of depth kDepth: one descends through
+  // right children, the other through left children.
+  constexpr int kDepth = 40;
+  std::vector<TreeNode> right_chain;
+  for (int d = 0; d < kDepth; ++d) {
+    const int self = static_cast<int>(right_chain.size());
+    right_chain.push_back(Split(d % 3, 0.02f * static_cast<float>(d), self + 1));
+    right_chain.push_back(Leaf(static_cast<float>(d)));
+  }
+  right_chain.push_back(Leaf(-1.0f));
+  std::vector<TreeNode> left_chain{Split(1, 1.0f, 1)};
+  for (int d = 1; d < kDepth; ++d) {
+    // Internal node at index 2d - 1; its leaf sibling follows it.
+    left_chain.push_back(Split(d % 3, 1.0f - 0.02f * static_cast<float>(d),
+                               static_cast<int>(left_chain.size()) + 2));
+    left_chain.push_back(Leaf(0.5f * static_cast<float>(d)));
+  }
+  left_chain.push_back(Leaf(7.0f));
+  left_chain.push_back(Leaf(-7.0f));
+  GradientBoosting model;
+  ASSERT_TRUE(model.Deserialize(GbPayload(3, 0.25f, 0.3,
+                                          {right_chain, left_chain}))
+                  .ok());
+  ASSERT_EQ(model.num_trees(), 2);
+  for (const int rows : {1, GradientBoosting::kBlockRows + 1, 1000}) {
+    ExpectMatchesReference(model, ProbeRows(rows, 3, 60 + rows));
+  }
+}
+
+TEST(GradientBoostingTest, SerializeIsStableAcrossRoundTrip) {
+  const Dataset train = MakeAdditiveDataset(800, 42);
+  const Dataset valid = MakeAdditiveDataset(200, 43);
+  GbmParams params;
+  params.num_trees = 200;
+  params.learning_rate = 0.3;
+  params.early_stopping_rounds = 5;
+  GradientBoosting model(params);
+  ASSERT_TRUE(model.Fit(train, &valid).ok());
+  ASSERT_LT(model.num_trees(), 200);  // early stopping truncated the arrays
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(model.Serialize(&blob).ok());
+  GradientBoosting restored;
+  ASSERT_TRUE(restored.Deserialize(blob).ok());
+  std::vector<uint8_t> again;
+  ASSERT_TRUE(restored.Serialize(&again).ok());
+  EXPECT_EQ(again, blob);
+  EXPECT_EQ(restored.SizeBytes(), model.SizeBytes());
+  ExpectMatchesReference(model, ProbeRows(100, train.dim(), 44));
 }
 
 TEST(GradientBoostingTest, DeterministicForFixedSeed) {
