@@ -4,7 +4,6 @@
 // N defaults to the hardware concurrency; override with QFCARD_THREADS.
 // Speedup is ~1x on a single-core machine by construction.
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -70,57 +69,11 @@ void CheckIdentical(const std::vector<T>& serial, const std::vector<T>& parallel
   }
 }
 
-struct TraceOverhead {
-  double off_s = 0.0;  ///< GB EstimateBatch, QFCARD_TRACE=0 path
-  double on_s = 0.0;   ///< same work with span recording enabled
-  double overhead_pct = 0.0;  ///< (on - off) / off * 100, floored at 0
-};
-
-// Observability-cost leg (docs/observability.md): the same GB micro-batch
-// workload with tracing disabled vs enabled, best-of-3 each to de-noise.
-// The off leg is the QFCARD_TRACE=0 hot path every production run pays (one
-// relaxed atomic load per would-be span); the delta to the on leg is the
-// full recording cost. Emitted into BENCH_batch_scaling.json so the perf
-// trajectory tracks tracing overhead commit over commit.
-TraceOverhead MeasureTraceOverhead(const est::CardinalityEstimator& gb,
-                                   const std::vector<query::Query>& queries) {
-  constexpr int kReps = 3;
-  const bool was_enabled = obs::TraceEnabled();
-  TraceOverhead result;
-  result.off_s = -1.0;
-  result.on_s = -1.0;
-  obs::SetTraceEnabled(false);
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::ScopedTimer timer;
-    const std::vector<double> ests = gb.EstimateBatch(queries).value();
-    const double s = timer.Seconds();
-    if (result.off_s < 0.0 || s < result.off_s) result.off_s = s;
-    if (ests.empty()) std::abort();  // keep the work observable
-  }
-  obs::SetTraceEnabled(true);
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::TraceBuffer::Global().Reset();
-    obs::ScopedTimer timer;
-    const std::vector<double> ests = gb.EstimateBatch(queries).value();
-    const double s = timer.Seconds();
-    if (result.on_s < 0.0 || s < result.on_s) result.on_s = s;
-    if (ests.empty()) std::abort();
-  }
-  obs::TraceBuffer::Global().Reset();
-  obs::SetTraceEnabled(was_enabled);
-  result.overhead_pct =
-      result.off_s > 0.0
-          ? std::max(0.0, (result.on_s - result.off_s) / result.off_s * 100.0)
-          : 0.0;
-  return result;
-}
-
 // Writes the kind="batch_scaling" trajectory report (tools/bench_schema.json)
 // CI archives as BENCH_batch_scaling.json: per-stage serial/parallel seconds
 // plus the query count, as flat {name, unit, value} metric rows.
 bool WriteBenchmarkOut(const std::string& path, size_t queries, int threads,
-                       const StageTimes& serial, const StageTimes& parallel,
-                       const TraceOverhead& trace) {
+                       const StageTimes& serial, const StageTimes& parallel) {
   std::ofstream out(path);
   if (!out) return false;
   std::string json = "{\"version\":1,\"kind\":\"batch_scaling\"";
@@ -146,15 +99,6 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries, int threads,
   stage("featurize", serial.featurize_s, parallel.featurize_s);
   stage("gb_batch", serial.gb_batch_s, parallel.gb_batch_s);
   stage("sampling_batch", serial.sampling_batch_s, parallel.sampling_batch_s);
-  json += common::StrFormat(
-      ",{\"name\":\"gb_batch_seconds_trace_off\",\"unit\":\"seconds\","
-      "\"value\":%.6g}", trace.off_s);
-  json += common::StrFormat(
-      ",{\"name\":\"gb_batch_seconds_trace_on\",\"unit\":\"seconds\","
-      "\"value\":%.6g}", trace.on_s);
-  json += common::StrFormat(
-      ",{\"name\":\"trace_overhead_pct\",\"unit\":\"percent\","
-      "\"value\":%.6g}", trace.overhead_pct);
   json += "]}\n";
   out << json;
   return static_cast<bool>(out);
@@ -227,21 +171,15 @@ void Run(const std::string& benchmark_out) {
   add("Sampling EstimateBatch", serial.sampling_batch_s,
       parallel.sampling_batch_s);
 
-  // Tracing-cost leg, serial pool (the request path's configuration).
-  const TraceOverhead trace = MeasureTraceOverhead(*gb, queries);
-
   std::printf("Batch pipeline scaling, %zu queries (results byte-identical "
               "across thread counts)\n",
               queries.size());
   table.Print(std::cout);
-  std::printf("tracing overhead (GB EstimateBatch, best of 3): "
-              "off %.3fs, on %.3fs, overhead %.2f%%\n",
-              trace.off_s, trace.on_s, trace.overhead_pct);
   eval::PrintTelemetrySnapshot(std::cout);
 
   if (!benchmark_out.empty()) {
     if (!WriteBenchmarkOut(benchmark_out, queries.size(), threads, serial,
-                           parallel, trace)) {
+                           parallel)) {
       std::fprintf(stderr, "FATAL: cannot write %s\n", benchmark_out.c_str());
       std::exit(1);
     }

@@ -5,16 +5,14 @@
 // the same thing — and fail the same way — in every binary.
 //
 //   --metrics-out=PATH  enable telemetry (as if QFCARD_METRICS=1) and write
-//                       the JSON snapshot (metrics + drift monitor + trace
-//                       stats) to PATH on exit; tools/validate_metrics.py
-//                       checks this file against tools/metrics_schema.json
+//                       the JSON snapshot (metrics + trace stats) to PATH on
+//                       exit; tools/validate_metrics.py checks this file
+//                       against tools/metrics_schema.json
 //   --trace-out=PATH    enable stage tracing (as if QFCARD_TRACE=1) and
-//                       write the span ring buffer as JSON to PATH on exit
-//   --trace-events-out=PATH
-//                       enable stage tracing and additionally write the
-//                       Chrome trace-event export (load it in Perfetto or
-//                       chrome://tracing; pid=route, tid=thread) to PATH;
-//                       tools/analyze_trace.py reads either format
+//                       write the Chrome trace-event JSON (load it in
+//                       Perfetto or chrome://tracing; pid=route,
+//                       tid=thread) to PATH on exit; tools/analyze_trace.py
+//                       reads it
 //   --model-dir=PATH    serve::ModelStore root for --save-model/--load-model
 //   --save-model        after training, publish the model to --model-dir as
 //                       the next version (ML estimators only)
@@ -43,7 +41,6 @@ namespace qfcard::examples {
 struct CommonFlags {
   std::string metrics_out;
   std::string trace_out;
-  std::string trace_events_out;
   std::string model_dir;
   bool save_model = false;
   bool load_model = false;
@@ -66,10 +63,6 @@ inline common::StatusOr<bool> TryParseCommonFlag(const std::string& arg,
   }
   if (arg.rfind("--trace-out=", 0) == 0) {
     flags->trace_out = arg.substr(12);
-    return true;
-  }
-  if (arg.rfind("--trace-events-out=", 0) == 0) {
-    flags->trace_events_out = arg.substr(19);
     return true;
   }
   if (arg.rfind("--model-dir=", 0) == 0) {
@@ -133,9 +126,7 @@ inline common::Status ValidateCommonFlags(const CommonFlags& flags) {
 /// the first traced/measured work.
 inline void ApplyTelemetryFlags(const CommonFlags& flags) {
   if (!flags.metrics_out.empty()) obs::SetMetricsEnabled(true);
-  if (!flags.trace_out.empty() || !flags.trace_events_out.empty()) {
-    obs::SetTraceEnabled(true);
-  }
+  if (!flags.trace_out.empty()) obs::SetTraceEnabled(true);
 }
 
 /// Writes the requested snapshot/trace files. Returns false (after printing
@@ -154,21 +145,11 @@ inline bool WriteTelemetryOutputs(const CommonFlags& flags) {
     }
   }
   if (!flags.trace_out.empty()) {
-    if (obs::WriteTraceJson(flags.trace_out)) {
+    if (obs::WriteTraceEventJson(flags.trace_out)) {
       std::fprintf(stderr, "trace written to %s\n", flags.trace_out.c_str());
     } else {
       std::fprintf(stderr, "error: cannot write trace to %s\n",
                    flags.trace_out.c_str());
-      ok = false;
-    }
-  }
-  if (!flags.trace_events_out.empty()) {
-    if (obs::WriteTraceEventJson(flags.trace_events_out)) {
-      std::fprintf(stderr, "trace events written to %s\n",
-                   flags.trace_events_out.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write trace events to %s\n",
-                   flags.trace_events_out.c_str());
       ok = false;
     }
   }

@@ -4,10 +4,10 @@
 //      to a serve::ModelStore, and serve it through a ServingEstimator.
 //   2. Stream labeled traffic through the server; every true cardinality is
 //      published to the adapt::FeedbackBus (whose window the Retrainer
-//      trains on) and feeds the q-error drift monitor.
+//      trains on), and each batch's p95 q-error is checked for drift.
 //   3. Shift the data distribution (a second forest with different latent
-//      factors) so the monitor flips healthy->degraded, which triggers a
-//      background retrain on the recent feedback.
+//      factors) so the batch p95 crosses the drift threshold, then retrain
+//      synchronously on the recent feedback.
 //   4. The retrainer promotes the candidate only because its holdout p95
 //      improves, publishes it as version 2, and hot-swaps it under the
 //      still-running traffic — the loop then shows the recovered accuracy.
@@ -19,11 +19,9 @@
 // --model-dir overrides the default on-disk store location. Sized by
 // QFCARD_SCALE (smoke / default / full) like the benches.
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,6 +31,11 @@
 using namespace qfcard;  // NOLINT: example brevity
 
 namespace {
+
+/// A batch whose p95 q-error exceeds this (over at least kDriftMinSamples
+/// queries) is flagged as drifted.
+constexpr double kDriftP95 = 8.0;
+constexpr size_t kDriftMinSamples = 30;
 
 struct Traffic {
   std::vector<query::Query> queries;
@@ -55,42 +58,36 @@ Traffic MakeTraffic(const storage::Table& table, int count, uint64_t seed) {
 }
 
 /// Streams one batch through the server via the request/response API
-/// (docs/batch_api.md), reporting p95 q-error and feeding every truth back
-/// into the drift monitor and the feedback bus. The responses also carry which
-/// model version served the batch, so the label line no longer needs to
-/// query the server separately.
-double ServeBatch(const serve::ServingEstimator& serving,
-                  obs::QErrorDriftMonitor& monitor, adapt::FeedbackBus& bus,
-                  const Traffic& traffic, const char* label) {
+/// (docs/batch_api.md), publishing every truth to the feedback bus and
+/// reporting the batch's q-error. The responses also carry which model
+/// version served the batch; a p95 above kDriftP95 is flagged as drift.
+void ServeBatch(const serve::ServingEstimator& serving,
+                adapt::FeedbackBus& bus, const Traffic& traffic,
+                const char* label) {
   std::vector<est::EstimateRequest> requests(traffic.queries.size());
   for (size_t i = 0; i < traffic.queries.size(); ++i) {
     requests[i].query = traffic.queries[i];
   }
   const std::vector<est::EstimateResponse> responses =
       serving.EstimateRequests(requests).value();
-  // Feedback first, monitor second: if an observation flips the monitor and
-  // schedules a retrain, the feedback window already holds the whole batch.
+  std::vector<double> qerrors;
   for (size_t i = 0; i < responses.size(); ++i) {
     adapt::FeedbackRecord record;
     record.query = traffic.queries[i];
     record.true_card = traffic.truths[i];
     bus.Publish(std::move(record));
-  }
-  std::vector<double> qerrors;
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const double qerr = ml::QError(traffic.truths[i], responses[i].estimate);
-    qerrors.push_back(qerr);
-    monitor.Observe(qerr);
+    qerrors.push_back(ml::QError(traffic.truths[i], responses[i].estimate));
   }
   const uint64_t served_version =
       responses.empty() ? serving.ActiveVersion() : responses[0].model_version;
   const ml::QErrorSummary summary =
       ml::QErrorSummary::FromErrors(std::move(qerrors));
+  const bool drifted = responses.size() >= kDriftMinSamples &&
+                       summary.p95 > kDriftP95;
   std::printf("%-22s v%llu  %4zu queries  median=%6.2f  p95=%8.2f%s\n", label,
               static_cast<unsigned long long>(served_version),
               traffic.queries.size(), summary.median, summary.p95,
-              monitor.degraded() ? "  [drift flagged]" : "");
-  return summary.p95;
+              drifted ? "  [drift flagged]" : "");
 }
 
 }  // namespace
@@ -154,12 +151,6 @@ int main(int argc, char** argv) {
       std::shared_ptr<const est::CardinalityEstimator>(std::move(estimator)),
       v1);
 
-  // Drift monitor + retrainer wired to the server.
-  obs::DriftMonitorOptions mopts;
-  mopts.window = static_cast<size_t>(traffic_size);
-  mopts.p95_threshold = 8.0;
-  mopts.min_samples = 30;
-  obs::QErrorDriftMonitor monitor(mopts);
   // Keep only the most recent batch of feedback, so a retrain after the
   // shift trains on post-shift truths instead of averaging both worlds.
   adapt::FeedbackBusOptions bopts;
@@ -169,35 +160,22 @@ int main(int argc, char** argv) {
   ropts.estimator_name = "gb+conjunctive";
   ropts.estimator_opts = eopts;
   ropts.min_feedback = 64;
-  ropts.monitor = &monitor;
   ropts.store = &store;
   adapt::Retrainer retrainer(&serving, &catalog, &bus, ropts);
-  retrainer.Start();
 
   std::printf("serving '%s' from %s\n\n", serving.name().c_str(),
               store.root().c_str());
-  ServeBatch(serving, monitor, bus, live_before, "in-distribution");
+  ServeBatch(serving, bus, live_before, "in-distribution");
 
   // The world changes: the same traffic shape now reflects the shifted
-  // table, the rolling p95 blows through the threshold, and the flip kicks
-  // off a background retrain on the feedback gathered above.
-  ServeBatch(serving, monitor, bus, live_after, "after data shift");
-
-  // Wait for the background run the flip scheduled (bounded); fall back to
-  // a synchronous retrain if the threshold was never crossed at this scale.
-  if (monitor.degraded()) {
-    for (int i = 0; i < 3000 && retrainer.runs() == 0; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  } else {
-    (void)retrainer.RetrainNow();
-  }
-  retrainer.Stop();
-  const adapt::RetrainResult result = retrainer.last_result();
+  // table and the batch p95 blows through the threshold. Retrain once on the
+  // feedback gathered above (also when this scale never crosses it).
+  ServeBatch(serving, bus, live_after, "after data shift");
+  const adapt::RetrainResult result = retrainer.RetrainNow().value();
   std::printf("\nretrain: %s (holdout p95 %.2f -> %.2f)\n",
               result.detail.c_str(), result.stale_p95, result.candidate_p95);
 
-  ServeBatch(serving, monitor, bus, live_after, "after hot-swap");
+  ServeBatch(serving, bus, live_after, "after hot-swap");
   std::printf("\nstore now holds %zu version(s); swaps=%llu\n",
               store.ListVersions().value().size(),
               static_cast<unsigned long long>(serving.SwapCount()));

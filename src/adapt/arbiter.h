@@ -19,8 +19,8 @@ namespace qfcard::adapt {
 /// shows within tens of observations, hysteresis strong enough that noisy
 /// ties never flap.
 struct TierArbiterOptions {
-  /// Rolling q-error window per (route, tier) — the same common::Ring as
-  /// obs::QErrorDriftMonitor's window, kept per tier.
+  /// Rolling q-error window per (route, tier), a common::Ring: the one
+  /// rolling q-error window in src/.
   size_t window = 48;
   /// Observations a challenger tier needs in its window before it can be
   /// compared at all.

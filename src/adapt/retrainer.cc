@@ -17,88 +17,18 @@ Retrainer::Retrainer(serve::ServingEstimator* serving,
                      const storage::Catalog* catalog, const FeedbackBus* bus,
                      RetrainerOptions options)
     : serving_(serving), catalog_(catalog), bus_(bus), opts_([&] {
-        // Degenerate knobs are clamped instead of rejected: the retrainer is
-        // a background subsystem and must stay constructible.
+        // Degenerate knobs are clamped instead of rejected: the retrainer
+        // must stay constructible from any options.
         options.min_feedback = std::max<size_t>(
             2, std::min(options.min_feedback, bus->capacity()));
         return std::move(options);
       }()) {}
 
-Retrainer::~Retrainer() { Stop(); }
-
-void Retrainer::Start() {
-  common::MutexLock lifecycle(&lifecycle_mu_);
-  if (worker_.joinable()) return;
-  {
-    common::MutexLock lock(&mu_);
-    stop_ = false;
-    retrain_requested_ = false;
-  }
-  worker_ = std::thread([this] { WorkerLoop(); });
-  if (opts_.monitor != nullptr && listener_id_ == 0) {
-    // The listener only flags the request and notifies — the monitor's
-    // contract forbids heavy work (and calls back into the monitor) from
-    // the Observe thread; the worker does the actual retrain.
-    listener_id_ = opts_.monitor->AddFlipListener(
-        [this](const obs::QErrorDriftMonitor::State&) { TriggerRetrain(); });
-  }
-}
-
-void Retrainer::Stop() {
-  common::MutexLock lifecycle(&lifecycle_mu_);
-  if (opts_.monitor != nullptr && listener_id_ != 0) {
-    // Remove first: blocks until in-flight flip callbacks return, so no
-    // TriggerRetrain can race the join below.
-    opts_.monitor->RemoveFlipListener(listener_id_);
-    listener_id_ = 0;
-  }
-  if (!worker_.joinable()) return;
-  {
-    common::MutexLock lock(&mu_);
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  worker_.join();
-}
-
-void Retrainer::TriggerRetrain() {
-  {
-    common::MutexLock lock(&mu_);
-    retrain_requested_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-void Retrainer::WorkerLoop() {
-  mu_.Lock();
-  while (true) {
-    while (!stop_ && !retrain_requested_) cv_.Wait(&mu_);
-    if (stop_) break;
-    retrain_requested_ = false;
-    mu_.Unlock();
-    // Outcome and metrics are recorded by RetrainNow itself; a failed
-    // background run leaves the active model serving and the error in
-    // last_result().detail.
-    (void)RetrainNow();
-    mu_.Lock();
-  }
-  mu_.Unlock();
-}
-
-void Retrainer::RecordResult(const RetrainResult& result) {
-  common::MutexLock lock(&mu_);
-  last_ = result;
-}
-
 common::StatusOr<RetrainResult> Retrainer::RetrainNow() {
   common::MutexLock retrain_lock(&retrain_mu_);
   RetrainResult result;
   std::vector<FeedbackRecord> sample = bus_->Snapshot();
-  uint64_t run = 0;
-  {
-    common::MutexLock lock(&mu_);
-    run = runs_++;
-  }
+  const uint64_t run = runs_++;
   obs::IncrementCounter("serve.retrain.runs");
   result.version = serving_->ActiveVersion();
   result.feedback_used = sample.size();
@@ -108,7 +38,6 @@ common::StatusOr<RetrainResult> Retrainer::RetrainNow() {
         "insufficient feedback (%llu < %llu)",
         static_cast<unsigned long long>(sample.size()),
         static_cast<unsigned long long>(opts_.min_feedback));
-    RecordResult(result);
     return result;
   }
   result.attempted = true;
@@ -141,7 +70,6 @@ common::StatusOr<RetrainResult> Retrainer::RetrainNow() {
 
   const auto fail = [&](common::Status status) -> common::Status {
     result.detail = status.ToString();
-    RecordResult(result);
     obs::IncrementCounter("serve.retrain.errors");
     return status;
   };
@@ -195,18 +123,7 @@ common::StatusOr<RetrainResult> Retrainer::RetrainNow() {
         result.candidate_p95, result.stale_p95);
     obs::IncrementCounter("serve.retrain.rejected");
   }
-  RecordResult(result);
   return result;
-}
-
-uint64_t Retrainer::runs() const {
-  common::MutexLock lock(&mu_);
-  return runs_;
-}
-
-RetrainResult Retrainer::last_result() const {
-  common::MutexLock lock(&mu_);
-  return last_;
 }
 
 }  // namespace qfcard::adapt

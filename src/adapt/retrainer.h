@@ -4,14 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "adapt/feedback_bus.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "estimators/registry.h"
-#include "obs/qerror_monitor.h"
 #include "serve/model_store.h"
 #include "serve/serving_estimator.h"
 
@@ -36,15 +34,12 @@ struct RetrainerOptions {
   /// Base seed; each run r shuffles with MixSeed(seed, r) so runs are
   /// deterministic yet draw distinct splits.
   uint64_t seed = 20260806;
-  /// When set, Start() subscribes to healthy->degraded flips and schedules a
-  /// retrain on each one. Not owned; must outlive the retrainer.
-  obs::QErrorDriftMonitor* monitor = nullptr;
   /// When set, promoted candidates are published here before the swap, and
   /// the store's version number becomes the serving version. Not owned.
   serve::ModelStore* store = nullptr;
 };
 
-/// Outcome of one retrain run, also kept as last_result().
+/// Outcome of one retrain run.
 struct RetrainResult {
   bool attempted = false;   ///< false when feedback was insufficient
   bool promoted = false;    ///< candidate beat the stale model and swapped in
@@ -55,86 +50,50 @@ struct RetrainResult {
   std::string detail;       ///< human-readable reason (promoted/rejected/...)
 };
 
-/// Closes the drift loop (docs/serving.md): listens for QErrorDriftMonitor
-/// healthy->degraded flips and on each flip retrains a candidate, in a
-/// background thread, on the FeedbackBus's retained window — the one
-/// feedback window in the system (docs/adaptive.md); producers reach it
-/// through FeedbackBus::Publish. The candidate is promoted — published to
-/// the store and hot-swapped into the ServingEstimator — only when its
-/// holdout p95 q-error strictly improves on the active model's; otherwise
-/// the active model keeps serving.
+/// Closes the drift loop (docs/serving.md): each RetrainNow() retrains a
+/// candidate, synchronously on the calling thread, on the FeedbackBus's
+/// retained window — the one feedback window in the system
+/// (docs/adaptive.md); producers reach it through FeedbackBus::Publish. The
+/// caller owns the trigger (a drift check, a schedule, an operator). The
+/// candidate is promoted — published to the store and hot-swapped into the
+/// ServingEstimator — only when its holdout p95 q-error strictly improves on
+/// the active model's; otherwise the active model keeps serving.
 ///
 /// Promotion policy: p95, not mean, is the gate (the paper's Figure 5
 /// observation — drift shows in the tail). The holdout is carved from the
 /// feedback window before training, so the candidate is never scored on
 /// queries it trained on, and the stale model is scored on the same holdout.
 ///
-/// Thread-safety: TriggerRetrain/RetrainNow and the accessors are safe from
-/// any thread; retrain runs themselves are serialized on an internal mutex.
-/// Start/Stop manage the worker and must be externally serialized with each
-/// other (one owner); the destructor calls Stop().
+/// Thread-safety: RetrainNow is safe from any thread; concurrent runs are
+/// serialized on an internal mutex, so each sees the swap the previous one
+/// made. The retrainer owns no thread.
 class Retrainer {
  public:
   /// `serving`, `catalog` and `bus` are not owned and must outlive the
-  /// retrainer (as must options.monitor/options.store when set).
+  /// retrainer (as must options.store when set).
   Retrainer(serve::ServingEstimator* serving, const storage::Catalog* catalog,
             const FeedbackBus* bus, RetrainerOptions options);
-  ~Retrainer();
 
   Retrainer(const Retrainer&) = delete;
   Retrainer& operator=(const Retrainer&) = delete;
 
-  /// Spawns the background worker and subscribes to the drift monitor's
-  /// flip notifications (when a monitor is configured). Idempotent.
-  void Start();
-
-  /// Unsubscribes from the monitor and joins the worker. Idempotent; safe
-  /// without a prior Start().
-  void Stop();
-
-  /// Asks the background worker to run a retrain soon (what the flip
-  /// listener calls). No-op unless Start()ed.
-  void TriggerRetrain();
-
-  /// Runs one retrain synchronously on the calling thread on a snapshot of
-  /// the bus window and returns its outcome. Errors (estimator
-  /// construction, training, store publish) surface as a Status; "not
-  /// enough feedback" is a successful result with attempted == false.
+  /// Runs one retrain on the calling thread on a snapshot of the bus window
+  /// and returns its outcome. Errors (estimator construction, training,
+  /// store publish) surface as a Status; "not enough feedback" is a
+  /// successful result with attempted == false.
   common::StatusOr<RetrainResult> RetrainNow();
 
-  /// Retrain runs started so far (including insufficient-feedback no-ops).
-  uint64_t runs() const;
-
-  /// Outcome of the most recent run (default-constructed before any run).
-  RetrainResult last_result() const;
-
  private:
-  void WorkerLoop();
-  void RecordResult(const RetrainResult& result);
-
   serve::ServingEstimator* const serving_;
   const storage::Catalog* const catalog_;
   const FeedbackBus* const bus_;
   const RetrainerOptions opts_;
 
-  mutable common::Mutex mu_;
-  common::CondVar cv_;
-  bool stop_ QFCARD_GUARDED_BY(mu_) = false;
-  bool retrain_requested_ QFCARD_GUARDED_BY(mu_) = false;
-  uint64_t runs_ QFCARD_GUARDED_BY(mu_) = 0;
-  RetrainResult last_ QFCARD_GUARDED_BY(mu_);
-
-  /// Serializes whole retrain runs (held across training, which is slow);
-  /// never held while mu_-guarded waits happen. Lock order: retrain_mu_
-  /// before mu_, and retrain_mu_ before FeedbackBus::mu_ (the window
-  /// snapshot).
+  /// Serializes whole retrain runs (held across training, which is slow).
+  /// Lock order: retrain_mu_ before FeedbackBus::mu_ (the window snapshot).
   common::Mutex retrain_mu_;
-
-  /// Worker/listener lifecycle, touched only under lifecycle_mu_ (which the
-  /// worker itself never takes, so Stop can join while holding it).
-  common::Mutex lifecycle_mu_;
-  std::thread worker_ QFCARD_GUARDED_BY(lifecycle_mu_);
-  uint64_t listener_id_ QFCARD_GUARDED_BY(lifecycle_mu_) = 0;
+  /// Runs started so far; run r shuffles with MixSeed(seed, r).
+  uint64_t runs_ QFCARD_GUARDED_BY(retrain_mu_) = 0;
 };
 
 }  // namespace qfcard::adapt

@@ -8,10 +8,11 @@ namespace qfcard::common {
 /// Telemetry callback interface for ThreadPool. common/ sits at the bottom
 /// of the layer stack (tools/layers.json) and must not include obs/, so the
 /// pool reports its stats through this sink instead of touching
-/// obs::MetricsRegistry directly; obs/metrics.cc installs the one real
-/// implementation at static-initialization time and forwards into the
-/// threadpool.* series (docs/observability.md). Binaries that never link
-/// obs/ simply run with no sink and the pool skips all bookkeeping.
+/// obs::MetricsRegistry directly; obs/pool_metrics.cc holds the one real
+/// implementation, installed the first time the metrics mode is set or
+/// resolved, and forwards into the threadpool.* series
+/// (docs/observability.md). Binaries that never link obs/ simply run with
+/// no sink and the pool skips all bookkeeping.
 ///
 /// Implementations must be safe to call concurrently from every pool worker
 /// and must not call back into ThreadPool (the pool may hold its own lock

@@ -10,8 +10,7 @@
 namespace qfcard::common {
 
 /// Fixed-capacity ring buffer: the one bounded rolling window in the repo
-/// (drift monitor, tier arbiter windows and switch log, feedback bus, trace
-/// buffer). Once full, each Push overwrites the oldest element and hands it
+/// (tier arbiter windows and switch log, feedback bus, trace buffer). Once full, each Push overwrites the oldest element and hands it
 /// back. Not thread-safe; owners guard it with their own mutex
 /// (QFCARD_GUARDED_BY).
 template <typename T>

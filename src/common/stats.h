@@ -9,9 +9,9 @@
 namespace qfcard::common {
 
 /// Linear-interpolated quantile of a sorted sample, q in [0, 1]. Lives in
-/// common/ because obs/ (the q-error drift monitor), ml/ (q-error
-/// summaries) and adapt/ (tier windows) all need it, and obs/ sits below ml/
-/// in the layer order (tools/layers.json).
+/// common/ because ml/ (q-error summaries), adapt/ (tier windows) and the
+/// example binaries all need it, below every layer that reads a window
+/// (tools/layers.json).
 inline double QuantileSorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];

@@ -20,7 +20,7 @@ int64_t ChunkSize(int64_t n, int num_threads) {
   return std::clamp<int64_t>(target, 1, 256);
 }
 
-// The telemetry sink, if any. obs/metrics.cc installs one that forwards
+// The telemetry sink, if any. obs/pool_metrics.cc installs one that forwards
 // into the threadpool.* series; common/ itself never sees obs/ (layering,
 // tools/layers.json). Returns nullptr when disabled so call sites pay one
 // relaxed load + one virtual call per ParallelFor when metrics are off.

@@ -3,7 +3,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/qerror_monitor.h"
 #include "obs/trace.h"
 
 namespace qfcard::eval {
@@ -89,16 +88,11 @@ common::StatusOr<RunResult> RunQftModel(
     result.qerrors.push_back(ml::QError(data.test_cards[i], est));
   }
   // The reported summary stays exact; the registry gets the same q-errors
-  // bucketed per featurizer, and the drift monitor sees them as labeled
-  // feedback (harness truths are known cardinalities).
+  // bucketed per featurizer.
   if (obs::MetricsEnabled()) {
     obs::Histogram* hist = obs::MetricsRegistry::Global().HistogramNamed(
         "qerror", obs::QErrorBounds(), "qft=" + featurizer.name());
-    obs::QErrorDriftMonitor& drift = obs::QErrorDriftMonitor::Global();
-    for (const double q : result.qerrors) {
-      hist->Observe(q);
-      drift.Observe(q);
-    }
+    for (const double q : result.qerrors) hist->Observe(q);
   }
   result.summary = ml::QErrorSummary::FromErrors(result.qerrors);
   return result;

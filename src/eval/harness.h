@@ -49,8 +49,8 @@ struct RunResult {
 /// FeaturizeWorkload and ml::Model::PredictBatch).
 ///
 /// Telemetry: when QFCARD_METRICS is on, every test q-error lands in the
-/// `qerror{qft=<featurizer name>}` histogram and feeds the global
-/// obs::QErrorDriftMonitor; stage latencies land in harness.* histograms.
+/// `qerror{qft=<featurizer name>}` histogram; stage latencies land in
+/// harness.* histograms.
 /// The returned summary stays exact (full sort) regardless.
 common::StatusOr<RunResult> RunQftModel(
     const featurize::Featurizer& featurizer, ml::Model& model,

@@ -4,7 +4,6 @@
 
 #include "common/str_util.h"
 #include "obs/metrics.h"
-#include "obs/qerror_monitor.h"
 
 namespace qfcard::eval {
 
@@ -70,18 +69,6 @@ void PrintTelemetrySnapshot(std::ostream& os) {
     counter_table.AddRow({row.name, row.labels, std::to_string(row.value)});
   }
   counter_table.Print(os);
-
-  const obs::QErrorDriftMonitor::State drift =
-      obs::QErrorDriftMonitor::Global().GetState();
-  if (drift.observed > 0) {
-    os << common::StrFormat(
-        "\n[telemetry] drift monitor: %s (window p95=%.2f vs threshold "
-        "%.2f over %zu/%zu labeled q-errors; %llu flip%s, max=%.2f)\n",
-        drift.degraded ? "DEGRADED" : "healthy", drift.p95, drift.threshold,
-        drift.window_fill, drift.window_size,
-        static_cast<unsigned long long>(drift.flips),
-        drift.flips == 1 ? "" : "s", drift.max_qerror);
-  }
 }
 
 }  // namespace qfcard::eval

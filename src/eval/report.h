@@ -36,9 +36,9 @@ std::string FormatBox(const ml::QErrorSummary& summary);
 std::string FormatQ(double v);
 
 /// Appends a telemetry section to a report: per-histogram p50/p95/max for
-/// every registered latency and q-error series, hot counters, and the
-/// q-error drift monitor's state. No-op (prints nothing) when
-/// QFCARD_METRICS is off, so existing bench output is unchanged by default.
+/// every registered latency and q-error series, and hot counters. No-op
+/// (prints nothing) when QFCARD_METRICS is off, so existing bench output is
+/// unchanged by default.
 void PrintTelemetrySnapshot(std::ostream& os);
 
 }  // namespace qfcard::eval

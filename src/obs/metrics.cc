@@ -14,6 +14,7 @@ namespace internal {
 std::atomic<int> g_metrics_mode{-1};
 
 bool ResolveMetricsMode() {
+  InstallPoolStatsSink();
   const bool on = common::GetEnvInt("QFCARD_METRICS", 0) != 0;
   int expected = -1;
   g_metrics_mode.compare_exchange_strong(expected, on ? 1 : 0,
@@ -57,6 +58,7 @@ std::string JsonEscape(std::string_view s) {
 }  // namespace internal
 
 void SetMetricsEnabled(bool enabled) {
+  internal::InstallPoolStatsSink();
   internal::g_metrics_mode.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 

@@ -48,10 +48,9 @@ PoolSeries& GetPoolSeries() {
 }
 
 // common::ThreadPool cannot include obs/ (layer order, tools/layers.json),
-// so this sink carries its stats into the threadpool.* series. Installed at
-// static-initialization time by any binary that links obs/; installation
-// only stores a pointer, the registry is not touched until the first
-// callback with metrics enabled.
+// so this sink carries its stats into the threadpool.* series. Installed by
+// internal::InstallPoolStatsSink; installation only stores a pointer, the
+// registry is not touched until the first callback with metrics enabled.
 class PoolStatsToMetrics final : public common::PoolStatsSink {
  public:
   bool Enabled() const override { return MetricsEnabled(); }
@@ -81,12 +80,15 @@ class PoolStatsToMetrics final : public common::PoolStatsSink {
   }
 };
 
-struct PoolStatsInstaller {
-  PoolStatsToMetrics sink;
-  PoolStatsInstaller() { common::SetPoolStatsSink(&sink); }
-};
-
-PoolStatsInstaller g_pool_stats_installer;
-
 }  // namespace
+
+namespace internal {
+
+void InstallPoolStatsSink() {
+  // Leaked: pool workers may still report after static destructors run.
+  static PoolStatsToMetrics* const sink = new PoolStatsToMetrics;
+  common::SetPoolStatsSink(sink);
+}
+
+}  // namespace internal
 }  // namespace qfcard::obs

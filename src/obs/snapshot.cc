@@ -3,9 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/str_util.h"
 #include "obs/metrics.h"
-#include "obs/qerror_monitor.h"
 #include "obs/trace.h"
 
 namespace qfcard::obs {
@@ -13,10 +11,9 @@ namespace qfcard::obs {
 std::string SnapshotJson() {
   const TraceBuffer& trace = TraceBuffer::Global();
   std::ostringstream out;
-  out << "{\"version\":1,\"metrics\":"
-      << MetricsRegistry::Global().ToJson() << ",\"drift_monitor\":"
-      << QErrorDriftMonitor::Global().ToJson() << ",\"trace\":{\"capacity\":"
-      << trace.capacity() << ",\"recorded\":" << trace.Recorded()
+  out << "{\"version\":2,\"metrics\":" << MetricsRegistry::Global().ToJson()
+      << ",\"trace\":{\"capacity\":" << trace.capacity()
+      << ",\"recorded\":" << trace.Recorded()
       << ",\"dropped\":" << trace.Dropped()
       << ",\"retained\":" << trace.RetainedSpans()
       << ",\"tail_sampled\":" << trace.TailSampledTraces()
@@ -29,19 +26,6 @@ bool WriteSnapshotJson(const std::string& path) {
   if (!out) return false;
   out << SnapshotJson() << "\n";
   return static_cast<bool>(out);
-}
-
-std::string SnapshotPrometheus() {
-  const QErrorDriftMonitor::State s = QErrorDriftMonitor::Global().GetState();
-  std::ostringstream out;
-  out << MetricsRegistry::Global().ToPrometheus();
-  out << "# TYPE qfcard_drift_p95 gauge\nqfcard_drift_p95 "
-      << common::StrFormat("%.9g", s.p95) << "\n"
-      << "# TYPE qfcard_drift_degraded gauge\nqfcard_drift_degraded "
-      << (s.degraded ? 1 : 0) << "\n"
-      << "# TYPE qfcard_drift_observed counter\nqfcard_drift_observed "
-      << s.observed << "\n";
-  return out.str();
 }
 
 }  // namespace qfcard::obs

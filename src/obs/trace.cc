@@ -113,16 +113,12 @@ void TraceBuffer::Record(SpanRecord span) {
   }
 }
 
-std::vector<SpanRecord> TraceBuffer::SnapshotLocked() const {
+std::vector<SpanRecord> TraceBuffer::Snapshot() const {
+  common::MutexLock lock(&mu_);
   // Retainees were evicted from the ring, so they predate everything in it.
   std::vector<SpanRecord> out = retained_;
   for (SpanRecord& span : ring_.Snapshot()) out.push_back(std::move(span));
   return out;
-}
-
-std::vector<SpanRecord> TraceBuffer::Snapshot() const {
-  common::MutexLock lock(&mu_);
-  return SnapshotLocked();
 }
 
 uint64_t TraceBuffer::Dropped() const {
@@ -183,60 +179,6 @@ void TraceBuffer::ResetWithCapacity(size_t capacity) {
   Reset();
   common::MutexLock lock(&mu_);
   ring_.Reset(capacity);
-}
-
-namespace {
-
-void AppendSpanJson(std::ostringstream& out, const SpanRecord& s) {
-  out << "{\"id\":" << s.id << ",\"parent\":" << s.parent_id
-      << ",\"trace\":" << s.trace_id << ",\"route\":" << s.route
-      << ",\"tid\":" << s.thread_index
-      << ",\"error\":" << (s.error ? "true" : "false") << ",\"name\":\""
-      << internal::JsonEscape(s.name) << "\",\"start_s\":"
-      << common::StrFormat("%.9f", s.start_s) << ",\"duration_s\":"
-      << common::StrFormat("%.9f", s.duration_s);
-  if (!s.links.empty()) {
-    out << ",\"links\":[";
-    for (size_t i = 0; i < s.links.size(); ++i) {
-      if (i > 0) out << ",";
-      out << s.links[i];
-    }
-    out << "]";
-  }
-  out << "}";
-}
-
-}  // namespace
-
-std::string TraceBuffer::ToJson() const {
-  std::ostringstream out;
-  std::vector<SpanRecord> spans;
-  uint64_t recorded = 0;
-  size_t capacity = 0;
-  size_t retained = 0;
-  uint64_t tail_sampled = 0;
-  uint64_t tail_dropped = 0;
-  {
-    common::MutexLock lock(&mu_);
-    spans = SnapshotLocked();
-    recorded = ring_.pushed();
-    capacity = ring_.capacity();
-    retained = retained_.size();
-    tail_sampled = tail_sampled_;
-    tail_dropped = tail_dropped_;
-  }
-  const uint64_t dropped =
-      recorded > spans.size() ? recorded - spans.size() : 0;
-  out << "{\"capacity\":" << capacity << ",\"recorded\":" << recorded
-      << ",\"dropped\":" << dropped << ",\"retained\":" << retained
-      << ",\"tail_sampled\":" << tail_sampled
-      << ",\"tail_dropped\":" << tail_dropped << ",\"spans\":[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out << ",";
-    AppendSpanJson(out, spans[i]);
-  }
-  out << "]}";
-  return out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -427,13 +369,6 @@ PoolTraceInstaller g_pool_trace_installer;
 // ---------------------------------------------------------------------------
 // Exports
 // ---------------------------------------------------------------------------
-
-bool WriteTraceJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << TraceBuffer::Global().ToJson() << "\n";
-  return static_cast<bool>(out);
-}
 
 namespace {
 

@@ -164,14 +164,9 @@ class TraceBuffer {
   /// Reset + resize (test hook for exercising overflow cheaply).
   void ResetWithCapacity(size_t capacity);
 
-  /// JSON object: {"capacity":..,"recorded":..,"dropped":..,"retained":..,
-  /// "tail_sampled":..,"tail_dropped":..,"spans":[...]}.
-  std::string ToJson() const;
-
  private:
   static constexpr size_t kDefaultCapacity = 4096;
 
-  std::vector<SpanRecord> SnapshotLocked() const QFCARD_REQUIRES(mu_);
   /// True when `trace_id` was marked kept by the tail-sampling policy.
   bool IsKept(uint64_t trace_id) const QFCARD_REQUIRES(mu_);
   /// Marks `trace_id` kept (bounded; forgets the oldest beyond the cap).
@@ -308,9 +303,6 @@ class StageCapture {
   StageCapture* prev_;
   double seconds_[2] = {0.0, 0.0};
 };
-
-/// Writes TraceBuffer::Global().ToJson() to `path`; false on I/O failure.
-bool WriteTraceJson(const std::string& path);
 
 /// Writes the buffer as Chrome trace-event JSON (the format Perfetto and
 /// chrome://tracing load): one "X" complete event per span with pid = a

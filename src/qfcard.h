@@ -37,9 +37,9 @@
 ///
 /// The pipeline is observable end to end: obs::MetricsRegistry collects
 /// counters/gauges/histograms (per-stage latency, per-backend q-error),
-/// obs::TraceSpan records nested stage spans into a bounded ring buffer,
-/// and obs::QErrorDriftMonitor watches the rolling p95 q-error of labeled
-/// queries. Telemetry is off by default and ~free when off; enable with
+/// and obs::TraceSpan records nested stage spans into a bounded ring
+/// buffer. Rolling p95 q-error is tracked per route and tier by
+/// adapt::TierArbiter. Telemetry is off by default and ~free when off; enable with
 /// QFCARD_METRICS=1 / QFCARD_TRACE=1. See docs/observability.md.
 ///
 /// This umbrella header pulls in the full public API.
@@ -91,7 +91,6 @@
 #include "ml/tree.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/qerror_monitor.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "optimizer/cost_model.h"

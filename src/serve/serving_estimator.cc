@@ -30,10 +30,8 @@ ServingEstimator::ServingEstimator(
 
 common::StatusOr<double> ServingEstimator::EstimateCard(
     const query::Query& q) const {
-  // Acquire-load pins one fully-published model for the whole call.
-  const std::shared_ptr<const est::CardinalityEstimator> model =
-      active_.load(std::memory_order_acquire);
-  return model->EstimateCard(q);
+  // Pins one fully-published model for the whole call.
+  return Active()->EstimateCard(q);
 }
 
 common::StatusOr<std::vector<est::EstimateResponse>>
@@ -45,10 +43,9 @@ ServingEstimator::EstimateRequests(
   // observability-only) but never the reverse — mirroring the gauge's
   // ordering contract (docs/serving.md).
   const uint64_t version = version_.load(std::memory_order_relaxed);
-  // One acquire-load pins one fully-published model for the whole batch; a
+  // One pin holds one fully-published model for the whole batch; a
   // concurrent Swap can never tear the batch across two models.
-  const std::shared_ptr<const est::CardinalityEstimator> model =
-      active_.load(std::memory_order_acquire);
+  const std::shared_ptr<const est::CardinalityEstimator> model = Active();
   // Delegate to the model's request path (not EstimateBatch directly) so
   // inner-stamped provenance — the adaptive front's tier/tier_reason —
   // reaches the client. The default implementation forwards the extracted
@@ -66,9 +63,7 @@ ServingEstimator::EstimateRequests(
 common::StatusOr<std::vector<double>> ServingEstimator::EstimateBatch(
     const std::vector<query::Query>& queries) const {
   // Pinned once: the whole batch runs against one model.
-  const std::shared_ptr<const est::CardinalityEstimator> model =
-      active_.load(std::memory_order_acquire);
-  return model->EstimateBatch(queries);
+  return Active()->EstimateBatch(queries);
 }
 
 common::Status ServingEstimator::Train(
@@ -84,11 +79,11 @@ common::Status ServingEstimator::Train(
 }
 
 std::string ServingEstimator::name() const {
-  return "serving:" + active_.load(std::memory_order_acquire)->name();
+  return "serving:" + Active()->name();
 }
 
 size_t ServingEstimator::SizeBytes() const {
-  return active_.load(std::memory_order_acquire)->SizeBytes();
+  return Active()->SizeBytes();
 }
 
 void ServingEstimator::Swap(
@@ -97,7 +92,12 @@ void ServingEstimator::Swap(
   // label is harmless (the label is observability-only), the reverse order
   // would briefly label the old model with the new version on the gauge.
   version_.store(version, std::memory_order_relaxed);
-  active_.store(std::move(next), std::memory_order_release);
+  {
+    common::MutexLock lock(&active_mu_);
+    active_.swap(next);
+  }
+  // `next` now holds the replaced model: it is destroyed outside the lock,
+  // here or when its last in-flight pin drops.
   {
     common::MutexLock lock(&mu_);
     ++swaps_;
@@ -108,7 +108,8 @@ void ServingEstimator::Swap(
 
 std::shared_ptr<const est::CardinalityEstimator> ServingEstimator::Active()
     const {
-  return active_.load(std::memory_order_acquire);
+  common::MutexLock lock(&active_mu_);
+  return active_;
 }
 
 uint64_t ServingEstimator::ActiveVersion() const {

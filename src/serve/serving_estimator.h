@@ -17,15 +17,15 @@ namespace qfcard::serve {
 /// CardinalityEstimator front that hot-swaps the model it serves while
 /// concurrent EstimateBatch traffic runs.
 ///
-/// Memory-ordering contract (docs/serving.md): the active model is published
-/// through one std::atomic<std::shared_ptr<const CardinalityEstimator>>.
-/// Swap stores with release ordering after the replacement model is fully
-/// constructed; every estimate loads with acquire ordering and keeps its
-/// shared_ptr pinned for the whole call. A request therefore runs entirely
-/// against one fully-built immutable model — swaps can never tear an
-/// in-flight batch — and a model unpinned by a swap is destroyed when its
-/// last in-flight request finishes. Models must be const-thread-safe (the
-/// repo-wide estimator contract).
+/// Publication contract (docs/serving.md): the active model is one
+/// shared_ptr under active_mu_, a leaf lock held only to copy or replace
+/// the pointer. Swap replaces it after the replacement model is fully
+/// constructed; every estimate copies it once and keeps it pinned for the
+/// whole call. A request therefore runs entirely against one fully-built
+/// immutable model — swaps can never tear an in-flight batch — and a model
+/// unpinned by a swap is destroyed when its last in-flight request
+/// finishes. Models must be const-thread-safe (the repo-wide estimator
+/// contract).
 ///
 /// Control-plane state (swap count) is mu_-guarded per the static-analysis
 /// policy; the data plane never takes mu_. Exports serve.swaps (counter) and
@@ -57,7 +57,7 @@ class ServingEstimator : public est::CardinalityEstimator {
   std::string name() const override;
   size_t SizeBytes() const override;
 
-  /// Atomically replaces the served model. `next` must be fully trained and
+  /// Replaces the served model in one pointer publication. `next` must be fully trained and
   /// const-thread-safe; `version` is exported through the active-version
   /// gauge and ActiveVersion().
   void Swap(std::shared_ptr<const est::CardinalityEstimator> next,
@@ -74,7 +74,12 @@ class ServingEstimator : public est::CardinalityEstimator {
   uint64_t SwapCount() const;
 
  private:
-  std::atomic<std::shared_ptr<const est::CardinalityEstimator>> active_;
+  // A lock, not std::atomic<std::shared_ptr>: libstdc++'s atomic load
+  // releases its internal lock bit with relaxed ordering, so its pointer
+  // read is not ordered before a later Swap (ThreadSanitizer reports it).
+  mutable common::Mutex active_mu_;
+  std::shared_ptr<const est::CardinalityEstimator> active_
+      QFCARD_GUARDED_BY(active_mu_);
   std::atomic<uint64_t> version_;
 
   mutable common::Mutex mu_;

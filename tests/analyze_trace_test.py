@@ -1,9 +1,8 @@
 """Self-test for tools/analyze_trace.py (docs/observability.md).
 
-Builds synthetic trace dumps in both supported formats — the span-ring JSON
-of --trace-out and the Chrome trace-event JSON of --trace-events-out — and
-checks the analyzer's verdicts: a fully connected two-request tree passes
-under every strict flag, an orphaned span fails --fail-on-orphans, a
+Builds synthetic Chrome trace-event dumps (the format --trace-out writes)
+and checks the analyzer's verdicts: a fully connected two-request tree
+passes under every strict flag, an orphaned span fails --fail-on-orphans, a
 disconnected request fails --require-connected, rejected (errored) roots do
 not count toward --min-requests, and a structurally broken dump is rejected
 outright.
@@ -30,37 +29,32 @@ analyze_trace = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(analyze_trace)
 
 
-def ring_span(sid, parent, trace, name, dur=0.001, error=False, links=(),
-              route=0, start=0.0):
-    return {"id": sid, "parent": parent, "trace": trace, "route": route,
-            "tid": 0, "error": error, "name": name, "start_s": start,
+def span(sid, parent, trace, name, dur=0.001, error=False, links=(),
+         start=0.0):
+    return {"id": sid, "parent": parent, "trace": trace, "tid": 0,
+            "error": error, "name": name, "start_s": start,
             "duration_s": dur, "links": list(links)}
 
 
 def connected_two_request_spans():
     """Two requests; the second is served by the first's batch via a link."""
     return [
-        ring_span(2, 1, 1, "serve.submit"),
-        ring_span(3, 1, 1, "serve.queue_wait", dur=0.002),
-        ring_span(11, 10, 10, "serve.submit"),
-        ring_span(12, 10, 10, "serve.queue_wait", dur=0.004),
-        ring_span(6, 5, 1, "estimate.featurize", dur=0.003),
-        ring_span(7, 5, 1, "estimate.predict", dur=0.001),
-        ring_span(5, 4, 1, "estimate.batch", dur=0.005),
-        ring_span(4, 1, 1, "serve.batch", dur=0.006, links=[10]),
-        ring_span(1, 0, 1, "serve.request", dur=0.010),
-        ring_span(10, 0, 10, "serve.request", dur=0.012),
+        span(2, 1, 1, "serve.submit"),
+        span(3, 1, 1, "serve.queue_wait", dur=0.002),
+        span(11, 10, 10, "serve.submit"),
+        span(12, 10, 10, "serve.queue_wait", dur=0.004),
+        span(6, 5, 1, "estimate.featurize", dur=0.003),
+        span(7, 5, 1, "estimate.predict", dur=0.001),
+        span(5, 4, 1, "estimate.batch", dur=0.005),
+        span(4, 1, 1, "serve.batch", dur=0.006, links=[10]),
+        span(1, 0, 1, "serve.request", dur=0.010),
+        span(10, 0, 10, "serve.request", dur=0.012),
     ]
 
 
-def ring_doc(spans):
-    return {"capacity": 4096, "recorded": len(spans), "dropped": 0,
-            "retained": 0, "tail_sampled": 0, "tail_dropped": 0,
-            "spans": spans}
-
-
 def trace_event_doc(spans):
-    """The same span list in Chrome trace-event form."""
+    """A span list in Chrome trace-event form, as obs::WriteTraceEventJson
+    writes it."""
     events = [
         {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
          "args": {"name": "qfcard (unrouted)"}},
@@ -104,11 +98,10 @@ class AnalyzeTraceTest(unittest.TestCase):
             code = analyze_trace.main(list(argv))
         return code, out.getvalue()
 
-    def test_connected_tree_passes_strict_flags_in_both_formats(self):
+    def test_connected_tree_passes_strict_flags(self):
         spans = connected_two_request_spans()
-        ring = self.write("ring.json", ring_doc(spans))
         events = self.write("events.json", trace_event_doc(spans))
-        code, out = self.run_tool(ring, events, "--fail-on-orphans",
+        code, out = self.run_tool(events, "--fail-on-orphans",
                                   "--require-connected", "--min-requests", "2")
         self.assertEqual(code, 0, out)
         self.assertIn("connected: 2/2", out)
@@ -120,8 +113,8 @@ class AnalyzeTraceTest(unittest.TestCase):
 
     def test_orphaned_span_fails_fail_on_orphans(self):
         spans = connected_two_request_spans()
-        spans.append(ring_span(99, 999, 1, "estimate.batch"))  # parent 999
-        path = self.write("orphan.json", ring_doc(spans))
+        spans.append(span(99, 999, 1, "estimate.batch"))  # parent 999
+        path = self.write("orphan.json", trace_event_doc(spans))
         code, out = self.run_tool(path)  # informational without the flag
         self.assertEqual(code, 0, out)
         self.assertIn("orphans: 1", out)
@@ -131,9 +124,9 @@ class AnalyzeTraceTest(unittest.TestCase):
     def test_disconnected_request_fails_require_connected(self):
         spans = connected_two_request_spans()
         # A third request with no serve.batch anywhere in its trace.
-        spans.append(ring_span(21, 20, 20, "serve.submit"))
-        spans.append(ring_span(20, 0, 20, "serve.request", dur=0.02))
-        path = self.write("disconnected.json", ring_doc(spans))
+        spans.append(span(21, 20, 20, "serve.submit"))
+        spans.append(span(20, 0, 20, "serve.request", dur=0.02))
+        path = self.write("disconnected.json", trace_event_doc(spans))
         code, _ = self.run_tool(path)
         self.assertEqual(code, 0)
         code, _ = self.run_tool(path, "--require-connected")
@@ -141,9 +134,9 @@ class AnalyzeTraceTest(unittest.TestCase):
 
     def test_rejected_roots_do_not_count_as_completed(self):
         spans = connected_two_request_spans()
-        spans.append(ring_span(31, 30, 30, "serve.submit", error=True))
-        spans.append(ring_span(30, 0, 30, "serve.request", error=True))
-        path = self.write("rejected.json", ring_doc(spans))
+        spans.append(span(31, 30, 30, "serve.submit", error=True))
+        spans.append(span(30, 0, 30, "serve.request", error=True))
+        path = self.write("rejected.json", trace_event_doc(spans))
         code, out = self.run_tool(path, "--min-requests", "2")
         self.assertEqual(code, 0, out)
         self.assertIn("2 completed / 1 rejected", out)
@@ -151,10 +144,11 @@ class AnalyzeTraceTest(unittest.TestCase):
         self.assertEqual(code, 1)
 
     def test_structurally_broken_dumps_are_rejected(self):
-        no_recorded = {"capacity": 4, "dropped": 0, "spans": []}
-        code, _ = self.run_tool(self.write("broken1.json", no_recorded))
+        no_events = {"displayTimeUnit": "ms", "spans": []}
+        code, _ = self.run_tool(self.write("broken1.json", no_events))
         self.assertEqual(code, 1)
-        bad_span = ring_doc([{"id": 1, "name": "x"}])  # missing fields
+        bad_span = {"traceEvents": [{"name": "x", "ph": "X", "pid": 1,
+                                     "tid": 0, "ts": 0.0}]}  # no dur/args
         code, _ = self.run_tool(self.write("broken2.json", bad_span))
         self.assertEqual(code, 1)
         bad_event = {"traceEvents": [{"name": "x", "ph": "Q", "pid": 1,
@@ -168,7 +162,7 @@ class AnalyzeTraceTest(unittest.TestCase):
 
     def test_cli_entry_point(self):
         path = self.write("cli.json",
-                          ring_doc(connected_two_request_spans()))
+                          trace_event_doc(connected_two_request_spans()))
         proc = subprocess.run(
             [sys.executable, str(TOOL), path, "--fail-on-orphans",
              "--require-connected", "--min-requests", "2"],

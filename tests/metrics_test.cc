@@ -2,7 +2,7 @@
 // histogram exactness under concurrent writers, snapshot-while-writing
 // safety (exercised under TSan in CI), registry pointer identity across
 // ResetForTest, exporter content, runtime gating, quantile math, and the
-// q-error drift monitor's degradation state machine.
+// thread-pool sink being installed wherever metrics can be enabled.
 
 #include "obs/metrics.h"
 
@@ -14,7 +14,6 @@
 
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
-#include "obs/qerror_monitor.h"
 
 namespace qfcard::obs {
 namespace {
@@ -227,87 +226,21 @@ TEST_F(MetricsTest, ScopedTimerRecordsExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// QErrorDriftMonitor
+// ThreadPool sink
 // ---------------------------------------------------------------------------
 
-TEST_F(MetricsTest, DriftMonitorFlipsOnP95AndRecovers) {
-  DriftMonitorOptions opts;
-  opts.window = 8;
-  opts.p95_threshold = 2.0;
-  opts.min_samples = 4;
-  QErrorDriftMonitor monitor(opts);
-
-  for (int i = 0; i < 4; ++i) monitor.Observe(1.0);
-  EXPECT_FALSE(monitor.degraded());
-  for (int i = 0; i < 4; ++i) monitor.Observe(100.0);
-  EXPECT_TRUE(monitor.degraded());
-  QErrorDriftMonitor::State s = monitor.GetState();
-  EXPECT_EQ(s.flips, 1u);
-  EXPECT_EQ(s.observed, 8u);
-  EXPECT_EQ(s.window_fill, 8u);
-  EXPECT_EQ(s.window_size, 8u);
-  EXPECT_DOUBLE_EQ(s.max_qerror, 100.0);
-  EXPECT_GT(s.p95, s.threshold);
-
-  // The ring evicts the spikes: eight healthy labels restore the flag.
-  for (int i = 0; i < 8; ++i) monitor.Observe(1.0);
-  EXPECT_FALSE(monitor.degraded());
-  // A second degradation counts a second flip.
-  for (int i = 0; i < 8; ++i) monitor.Observe(100.0);
-  s = monitor.GetState();
-  EXPECT_TRUE(s.degraded);
-  EXPECT_EQ(s.flips, 2u);
-  EXPECT_EQ(s.observed, 24u);
-}
-
-TEST_F(MetricsTest, DriftMonitorWithholdsVerdictBelowMinSamples) {
-  DriftMonitorOptions opts;
-  opts.window = 16;
-  opts.p95_threshold = 2.0;
-  opts.min_samples = 4;
-  QErrorDriftMonitor monitor(opts);
-  monitor.Observe(500.0);
-  monitor.Observe(500.0);
-  monitor.Observe(500.0);
-  EXPECT_FALSE(monitor.degraded());  // only 3 of the required 4 samples
-  monitor.Observe(500.0);
-  EXPECT_TRUE(monitor.degraded());
-}
-
-TEST_F(MetricsTest, DriftMonitorResetClearsStateAndReconfigures) {
-  DriftMonitorOptions opts;
-  opts.window = 4;
-  opts.p95_threshold = 2.0;
-  opts.min_samples = 2;
-  QErrorDriftMonitor monitor(opts);
-  for (int i = 0; i < 4; ++i) monitor.Observe(50.0);
-  EXPECT_TRUE(monitor.degraded());
-  DriftMonitorOptions wider = opts;
-  wider.window = 32;
-  monitor.Reset(&wider);
-  const QErrorDriftMonitor::State s = monitor.GetState();
-  EXPECT_FALSE(s.degraded);
-  EXPECT_EQ(s.observed, 0u);
-  EXPECT_EQ(s.window_fill, 0u);
-  EXPECT_EQ(s.window_size, 32u);
-  EXPECT_DOUBLE_EQ(s.max_qerror, 0.0);
-  EXPECT_EQ(s.flips, 0u);
-  EXPECT_NE(monitor.ToJson().find("\"degraded\":false"), std::string::npos);
-}
-
-TEST_F(MetricsTest, DriftMonitorConcurrentObserversKeepExactCounts) {
-  DriftMonitorOptions opts;
-  opts.window = 64;
-  QErrorDriftMonitor monitor(opts);
-  common::ThreadPool pool(8);
-  constexpr int64_t kObs = 20000;
-  pool.ParallelFor(kObs, [&](int64_t i) {
-    monitor.Observe(1.0 + static_cast<double>(i % 10) / 10.0);
-  });
-  const QErrorDriftMonitor::State s = monitor.GetState();
-  EXPECT_EQ(s.observed, static_cast<uint64_t>(kObs));
-  EXPECT_EQ(s.window_fill, 64u);
-  EXPECT_FALSE(s.degraded);
+// The threadpool.* sink lives in its own translation unit that nothing
+// references by name; enabling metrics must still install it, in this test
+// binary as in every other one that links qfcard.
+TEST_F(MetricsTest, ParallelForRecordsThreadPoolSeries) {
+  MetricsRegistry::Global().ResetForTest();
+  common::ThreadPool pool(2);
+  std::atomic<int64_t> ran{0};
+  pool.ParallelFor(64, [&](int64_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 64);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  EXPECT_GT(reg.CounterNamed("threadpool.parallel_for_calls")->Value(), 0u);
+  EXPECT_GT(reg.CounterNamed("threadpool.indices")->Value(), 0u);
 }
 
 }  // namespace

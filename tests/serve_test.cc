@@ -1,5 +1,5 @@
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +15,6 @@
 #include "estimators/registry.h"
 #include "estimators/true_card.h"
 #include "gtest/gtest.h"
-#include "obs/qerror_monitor.h"
 #include "serve/bundle.h"
 #include "serve/model_store.h"
 #include "serve/serving_estimator.h"
@@ -332,43 +331,45 @@ TEST(RetrainerTest, FeedbackRingOverwritesOldest) {
   EXPECT_EQ(result->feedback_used, 16u);
 }
 
-TEST(RetrainerTest, DriftFlipTriggersBackgroundRetrain) {
+TEST(RetrainerTest, ConcurrentRetrainNowIsSerialized) {
+  // Two callers retrain at once while a third keeps estimating: runs take
+  // turns on the retrain lock, so every promotion is one swap and the
+  // serving version ends at the newest promoted one.
   const RetrainFixture& fx = GetRetrainFixture();
   ServingEstimator serving(std::make_shared<ConstEstimator>(1.0), 0);
-  obs::DriftMonitorOptions monitor_opts;
-  monitor_opts.window = 16;
-  monitor_opts.p95_threshold = 2.0;
-  monitor_opts.min_samples = 4;
-  obs::QErrorDriftMonitor monitor(monitor_opts);
   adapt::FeedbackBus bus;
-  adapt::RetrainerOptions opts = SmallRetrainerOptions();
-  opts.monitor = &monitor;
-  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus, opts);
+  adapt::Retrainer retrainer(&serving, &fx.catalog, &bus,
+                             SmallRetrainerOptions());
   PublishFeedback(fx, &bus);
 
-  retrainer.Start();
-  for (int i = 0; i < 8; ++i) monitor.Observe(100.0);
-  EXPECT_TRUE(monitor.degraded());
+  std::atomic<bool> done{false};
+  std::atomic<int> estimate_errors{0};
+  std::thread reader([&] {
+    const query::Query& q = fx.labeled.front().query;
+    while (!done.load()) {
+      if (!serving.EstimateCard(q).ok()) estimate_errors.fetch_add(1);
+    }
+  });
+  common::StatusOr<adapt::RetrainResult> results[2] = {
+      common::Status::Internal("not run"), common::Status::Internal("not run")};
+  std::thread first([&] { results[0] = retrainer.RetrainNow(); });
+  std::thread second([&] { results[1] = retrainer.RetrainNow(); });
+  first.join();
+  second.join();
+  done.store(true);
+  reader.join();
 
-  // The flip listener only schedules work; wait for the worker to finish a
-  // run (bounded: ~30s before the expectations below fail loudly).
-  for (int tries = 0; tries < 3000 && retrainer.runs() == 0; ++tries) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  uint64_t promotions = 0;
+  uint64_t newest = 0;
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->attempted);
+    if (result->promoted) ++promotions;
+    newest = std::max(newest, result->version);
   }
-  retrainer.Stop();
-
-  EXPECT_GE(retrainer.runs(), 1u);
-  const adapt::RetrainResult result = retrainer.last_result();
-  EXPECT_TRUE(result.attempted);
-  EXPECT_TRUE(result.promoted)
-      << "candidate p95 " << result.candidate_p95 << " vs stale "
-      << result.stale_p95;
-  EXPECT_GE(serving.SwapCount(), 2u);
-
-  // Stop() is idempotent and Start()/Stop() can cycle.
-  retrainer.Stop();
-  retrainer.Start();
-  retrainer.Stop();
+  EXPECT_EQ(serving.SwapCount(), 1u + promotions);
+  EXPECT_EQ(serving.ActiveVersion(), newest);
+  EXPECT_EQ(estimate_errors.load(), 0);
 }
 
 }  // namespace

@@ -470,18 +470,19 @@ TEST_F(TraceTest, WriteTraceEventJsonEmitsFlowEventsForResolvableLinks) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
 }
 
-TEST_F(TraceTest, ToJsonContainsSpansAndStats) {
-  TraceBuffer::Global().ResetWithCapacity(2);
+TEST_F(TraceTest, RingEvictionKeepsNewestSpansAndCountsDropped) {
+  TraceBuffer& buffer = TraceBuffer::Global();
+  buffer.ResetWithCapacity(2);
   RunNestedWorkload();  // 4 spans into capacity 2
-  const std::string json = TraceBuffer::Global().ToJson();
-  EXPECT_NE(json.find("\"capacity\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"recorded\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":2"), std::string::npos);
-  // The newest two spans survive: sibling and outer.
-  EXPECT_NE(json.find("\"name\":\"estimate.predict\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"estimate.batch\""), std::string::npos);
-  EXPECT_EQ(json.find("featurize.partition"), std::string::npos);
-  TraceBuffer::Global().ResetWithCapacity(4096);
+  EXPECT_EQ(buffer.capacity(), 2u);
+  EXPECT_EQ(buffer.Recorded(), 4u);
+  EXPECT_EQ(buffer.Dropped(), 2u);
+  // The newest two spans survive, oldest first: sibling, then outer.
+  const std::vector<SpanRecord> spans = buffer.Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "estimate.predict");
+  EXPECT_EQ(spans[1].name, "estimate.batch");
+  buffer.ResetWithCapacity(4096);
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
 #!/usr/bin/env python3
 """Reconstruct per-request critical paths from a qfcard trace dump.
 
-Reads either trace export (docs/observability.md):
-
-  * the span ring JSON written by --trace-out / obs::WriteTraceJson
-    ({"spans": [{"id", "parent", "trace", ...}], ...}), or
-  * the Chrome trace-event JSON written by --trace-events-out /
-    obs::WriteTraceEventJson ({"traceEvents": [...]}), which is also
-    structurally validated (every event must be loadable by Perfetto).
+Reads the Chrome trace-event JSON written by --trace-out /
+obs::WriteTraceEventJson ({"traceEvents": [...]}, docs/observability.md)
+and validates its structure (every event must be loadable by Perfetto).
 
 For every request trace (a `serve.request` root span) the tool stitches the
 cross-thread path — submit on the client thread, queue wait, the worker's
@@ -28,7 +24,6 @@ import argparse
 import json
 import sys
 
-RING_REQUIRED = ("id", "parent", "trace", "name", "start_s", "duration_s")
 EVENT_PHASES = {"X", "M", "s", "f"}
 METADATA_NAMES = {"process_name", "thread_name"}
 
@@ -50,29 +45,6 @@ class TraceFormatError(Exception):
 def _require(cond, msg):
     if not cond:
         raise TraceFormatError(msg)
-
-
-def spans_from_ring(doc):
-    _require(isinstance(doc.get("spans"), list), "'spans' must be a list")
-    for key in ("capacity", "recorded", "dropped"):
-        _require(isinstance(doc.get(key), int), f"'{key}' must be an integer")
-    spans = []
-    for i, s in enumerate(doc["spans"]):
-        _require(isinstance(s, dict), f"span[{i}] is not an object")
-        for key in RING_REQUIRED:
-            _require(key in s, f"span[{i}] lacks '{key}'")
-        spans.append({
-            "id": s["id"],
-            "parent": s["parent"],
-            "trace": s["trace"],
-            "name": s["name"],
-            "start": float(s["start_s"]),
-            "dur": float(s["duration_s"]),
-            "error": bool(s.get("error", False)),
-            "links": list(s.get("links", [])),
-            "route": s.get("route", 0),
-        })
-    return spans
 
 
 def spans_from_trace_events(doc):
@@ -123,9 +95,7 @@ def load_spans(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     _require(isinstance(doc, dict), "top level must be an object")
-    if "traceEvents" in doc:
-        return spans_from_trace_events(doc), "trace-events"
-    return spans_from_ring(doc), "ring"
+    return spans_from_trace_events(doc)
 
 
 def percentile(sorted_values, q):
@@ -219,14 +189,14 @@ def print_stage_table(paths, out=None):
 def analyze_file(path, args):
     """Returns a list of failure strings (empty = pass)."""
     try:
-        spans, fmt = load_spans(path)
+        spans = load_spans(path)
     except (OSError, json.JSONDecodeError, TraceFormatError) as e:
         return [f"{path}: unreadable trace: {e}"]
     analysis = Analysis(spans)
     paths = analysis.request_paths()
     rejected = sum(1 for r in analysis.roots if r["error"])
     connected = sum(1 for p in paths if p["connected"])
-    print(f"== {path} ({fmt}) ==")
+    print(f"== {path} ==")
     print(f"spans: {len(spans)}  traces: "
           f"{len({s['trace'] for s in spans if s['trace']})}  "
           f"requests: {len(paths)} completed / {rejected} rejected  "
@@ -263,7 +233,7 @@ def analyze_file(path, args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("traces", nargs="+",
-                        help="trace dump(s): ring JSON and/or trace-event JSON")
+                        help="trace-event JSON dump(s) from --trace-out")
     parser.add_argument("--fail-on-orphans", action="store_true",
                         help="exit 1 if any span's parent never closed")
     parser.add_argument("--min-requests", type=int, default=0, metavar="N",

@@ -2,11 +2,11 @@
 """Validate a qfcard telemetry snapshot against tools/metrics_schema.json.
 
 The snapshot is the JSON written by `qfcard_cli --metrics-out=PATH` (or
-obs::WriteSnapshotJson): metrics registry + drift-monitor state + trace-buffer
-stats. CI runs the smoke workload at QFCARD_THREADS=1 and 4 and feeds the
-snapshot here; a pass means the pipeline's instrumentation is still wired —
-per-stage latency histograms populated, per-backend q-error histograms
-populated, thread-pool series present, drift state well-formed.
+obs::WriteSnapshotJson): metrics registry + trace-buffer stats. CI runs the
+smoke workload at QFCARD_THREADS=1 and 4 and feeds the snapshot here; a pass
+means the pipeline's instrumentation is still wired — per-stage latency
+histograms populated, per-backend q-error histograms populated, thread-pool
+series present.
 
 Checks, in order:
   1. structural — top-level keys, version, counter/gauge/histogram row shapes,
@@ -47,10 +47,10 @@ class Checker:
 
 
 def check_structure(snap: dict, chk: Checker) -> None:
-    for key in ("version", "metrics", "drift_monitor", "trace"):
+    for key in ("version", "metrics", "trace"):
         if not chk.require(key in snap, f"missing top-level key '{key}'"):
             return
-    chk.require(snap["version"] == 1,
+    chk.require(snap["version"] == 2,
                 f"unsupported snapshot version {snap['version']!r}")
     metrics = snap["metrics"]
     if not chk.require(isinstance(metrics, dict), "'metrics' is not an object"):
@@ -141,19 +141,6 @@ def check_schema(snap: dict, schema: dict, chk: Checker) -> None:
         chk.require(best >= min_count,
                     f"histogram {label} has max count {best}, expected >= "
                     f"{min_count}")
-
-    dschema = schema.get("drift_monitor", {})
-    drift = snap.get("drift_monitor", {})
-    if chk.require(isinstance(drift, dict), "'drift_monitor' is not an object"):
-        for field in dschema.get("required_fields", []):
-            chk.require(field in drift, f"drift_monitor missing '{field}'")
-        if "degraded" in drift:
-            chk.require(isinstance(drift["degraded"], bool),
-                        "drift_monitor.degraded is not a boolean")
-        min_obs = dschema.get("min_observed", 0)
-        chk.require(drift.get("observed", 0) >= min_obs,
-                    f"drift_monitor.observed = {drift.get('observed')!r}, "
-                    f"expected >= {min_obs} (did the q-error feed go dead?)")
 
     tschema = schema.get("trace", {})
     trace = snap.get("trace", {})
