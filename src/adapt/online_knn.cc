@@ -44,58 +44,69 @@ void OnlineKnn::Observe(uint64_t fss, const std::vector<float>& features,
       for (auto cand = routes_.begin(); cand != routes_.end(); ++cand) {
         if (cand->second.last_write < oldest->second.last_write) oldest = cand;
       }
-      total_neighbors_ -= oldest->second.neighbors.size();
+      total_neighbors_ -= oldest->second.neighbors->size();
       obs::IncrementCounter("adapt.knn.evicted", "",
-                            oldest->second.neighbors.size());
+                            oldest->second.neighbors->size());
       routes_.erase(oldest);
     }
     it = routes_.emplace(fss, RouteStore{}).first;
   }
   RouteStore& store = it->second;
   store.last_write = seq;
+  // Copy-on-write: predictions still ranking the old snapshot keep it.
+  auto next = std::make_shared<Neighbors>(*store.neighbors);
 
   // Near-duplicate features refine the stored target in place (AQO's
   // OkNNr_learn path): the neighborhood stays diverse instead of filling
   // with copies of one popular query shape.
-  for (Neighbor& n : store.neighbors) {
-    if (SquaredDistance(n.features, features) <= opts_.update_epsilon) {
+  for (Neighbor& n : *next) {
+    if (SquaredDistance(*n.features, features) <= opts_.update_epsilon) {
       n.log_card += opts_.learning_rate * (log_card - n.log_card);
       n.seq = seq;
+      store.neighbors = std::move(next);
       obs::IncrementCounter("adapt.knn.updated");
       return;
     }
   }
 
-  if (store.neighbors.size() >= opts_.capacity_per_route &&
-      !store.neighbors.empty()) {
-    auto oldest = store.neighbors.begin();
-    for (auto cand = store.neighbors.begin(); cand != store.neighbors.end();
-         ++cand) {
+  Neighbor fresh{std::make_shared<const std::vector<float>>(features),
+                 log_card, seq};
+  if (next->size() >= opts_.capacity_per_route && !next->empty()) {
+    auto oldest = next->begin();
+    for (auto cand = next->begin(); cand != next->end(); ++cand) {
       if (cand->seq < oldest->seq) oldest = cand;
     }
-    *oldest = Neighbor{features, log_card, seq};
+    *oldest = std::move(fresh);
+    store.neighbors = std::move(next);
     obs::IncrementCounter("adapt.knn.evicted");
     obs::IncrementCounter("adapt.knn.inserted");
     return;
   }
-  store.neighbors.push_back(Neighbor{features, log_card, seq});
+  next->push_back(std::move(fresh));
+  store.neighbors = std::move(next);
   ++total_neighbors_;
   obs::IncrementCounter("adapt.knn.inserted");
 }
 
 std::optional<double> OnlineKnn::PredictLog(
     uint64_t fss, const std::vector<float>& features) const {
-  common::MutexLock lock(&mu_);
-  const auto it = routes_.find(fss);
-  if (it == routes_.end() || it->second.neighbors.empty()) return std::nullopt;
-  const std::vector<Neighbor>& neighbors = it->second.neighbors;
+  std::shared_ptr<const Neighbors> snapshot;
+  {
+    common::MutexLock lock(&mu_);
+    const auto it = routes_.find(fss);
+    if (it == routes_.end()) return std::nullopt;
+    snapshot = it->second.neighbors;
+  }
+  const Neighbors& neighbors = *snapshot;
+  if (neighbors.empty()) return std::nullopt;
 
   // Rank by (distance, insertion seq): the seq tie-break keeps the k-subset
   // — and therefore the prediction — deterministic when distances tie.
+  // The snapshot is immutable, so the ranking runs outside mu_.
   std::vector<std::pair<double, size_t>> ranked;
   ranked.reserve(neighbors.size());
   for (size_t i = 0; i < neighbors.size(); ++i) {
-    ranked.emplace_back(SquaredDistance(neighbors[i].features, features), i);
+    ranked.emplace_back(SquaredDistance(*neighbors[i].features, features), i);
   }
   std::sort(ranked.begin(), ranked.end(),
             [&](const auto& a, const auto& b) {
@@ -124,7 +135,7 @@ std::optional<double> OnlineKnn::PredictLog(
 size_t OnlineKnn::NeighborCount(uint64_t fss) const {
   common::MutexLock lock(&mu_);
   const auto it = routes_.find(fss);
-  return it == routes_.end() ? 0 : it->second.neighbors.size();
+  return it == routes_.end() ? 0 : it->second.neighbors->size();
 }
 
 size_t OnlineKnn::RouteCount() const {
@@ -143,8 +154,8 @@ size_t OnlineKnn::SizeBytes() const {
   for (const auto& [fss, store] : routes_) {
     (void)fss;
     bytes += sizeof(RouteStore);
-    for (const Neighbor& n : store.neighbors) {
-      bytes += sizeof(Neighbor) + n.features.size() * sizeof(float);
+    for (const Neighbor& n : *store.neighbors) {
+      bytes += sizeof(Neighbor) + n.features->size() * sizeof(float);
     }
   }
   return bytes;

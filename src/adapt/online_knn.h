@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -39,9 +40,12 @@ struct OnlineKnnOptions {
 /// inverse-distance-weights the k nearest neighbors of the same route.
 /// O(capacity * dim) per Observe/Predict, no retraining.
 ///
-/// Thread-safe (one mutex over the store); deterministic: ties in the
-/// neighbor ranking break by insertion sequence, so a fixed observation
-/// order reproduces identical predictions at any thread count.
+/// Thread-safe: one mutex over the store, and each route's neighbors are an
+/// immutable snapshot that Observe replaces whole, so PredictLog ranks
+/// outside the lock and a write never waits on a prediction's ranking.
+/// Deterministic: ties in the neighbor ranking break by insertion sequence,
+/// so a fixed observation order reproduces identical predictions at any
+/// thread count.
 class OnlineKnn {
  public:
   explicit OnlineKnn(OnlineKnnOptions options = {});
@@ -72,12 +76,17 @@ class OnlineKnn {
 
  private:
   struct Neighbor {
-    std::vector<float> features;
+    /// Shared by every snapshot holding this neighbor: copying a snapshot
+    /// copies no feature vector.
+    std::shared_ptr<const std::vector<float>> features;
     double log_card = 0.0;
     uint64_t seq = 0;  ///< last write (insert or refine), for eviction
   };
+  using Neighbors = std::vector<Neighbor>;
   struct RouteStore {
-    std::vector<Neighbor> neighbors;
+    /// Never null; replaced (copy-on-write), never mutated in place.
+    std::shared_ptr<const Neighbors> neighbors =
+        std::make_shared<const Neighbors>();
     uint64_t last_write = 0;
   };
 

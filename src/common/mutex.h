@@ -1,7 +1,6 @@
 #ifndef QFCARD_COMMON_MUTEX_H_
 #define QFCARD_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -64,15 +63,6 @@ class CondVar {
   /// Atomically releases *mu, blocks until notified, reacquires *mu.
   /// Spurious wakeups are possible; always wait in a predicate loop.
   void Wait(Mutex* mu) QFCARD_REQUIRES(mu) { cv_.wait(*mu); }
-
-  /// Wait with a relative timeout (steady-clock based, so immune to
-  /// wall-clock jumps). Returns false when the timeout elapsed without a
-  /// notification. Spurious wakeups return true; as with Wait, callers must
-  /// re-check their predicate either way.
-  bool WaitFor(Mutex* mu, double seconds) QFCARD_REQUIRES(mu) {
-    return cv_.wait_for(*mu, std::chrono::duration<double>(seconds)) ==
-           std::cv_status::no_timeout;
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

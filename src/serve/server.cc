@@ -1,25 +1,78 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace qfcard::serve {
 
 namespace {
 
-/// Upper bound on a dispatcher's sleep when no batch has a pending
-/// deadline: long enough to stay cheap, short enough that a lost wakeup
-/// (impossible by design, cheap insurance anyway) cannot stall a request
-/// noticeably.
-constexpr double kIdleWaitSeconds = 0.1;
-
 void CountServerRejected(const char* reason) {
   obs::IncrementCounter("serve.route.rejected",
                         std::string("reason=") + reason);
+}
+
+/// Server-wide series, resolved once per process on first use with metrics
+/// on (registry pointers stay valid for the process lifetime).
+struct ServerSeries {
+  obs::Gauge* queue_depth;
+  obs::Gauge* trace_sampled;
+  obs::Gauge* trace_dropped;
+  obs::Histogram* queue_wait;
+  obs::Histogram* batch_exec;
+  obs::Histogram* featurize;
+  obs::Histogram* predict;
+};
+
+const ServerSeries& GetServerSeries() {
+  static const ServerSeries series = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    const std::vector<double>& bounds = obs::LatencyBounds();
+    ServerSeries s;
+    s.queue_depth = reg.GaugeNamed("serve.route.queue_depth");
+    s.trace_sampled = reg.GaugeNamed("serve.trace.sampled");
+    s.trace_dropped = reg.GaugeNamed("serve.trace.dropped");
+    s.queue_wait = reg.HistogramNamed("serve.request.stage_seconds", bounds,
+                                      "stage=queue_wait");
+    s.batch_exec = reg.HistogramNamed("serve.request.stage_seconds", bounds,
+                                      "stage=batch_exec");
+    s.featurize = reg.HistogramNamed("serve.request.stage_seconds", bounds,
+                                     "stage=featurize");
+    s.predict = reg.HistogramNamed("serve.request.stage_seconds", bounds,
+                                   "stage=predict");
+    return s;
+  }();
+  return series;
+}
+
+/// Client-side state of one request from its arrival to its admission.
+struct Admission {
+  obs::Clock::time_point submit_start;
+  obs::TraceContext ctx;
+  /// serve.submit, open from arrival through admission. Null once closed,
+  /// and when tracing is off.
+  std::unique_ptr<obs::TraceSpan> span;
+  ModelRouter::Resolution resolution;
+  /// serve.route.rejected reason, set under mu_ when admission turns the
+  /// routed request away.
+  const char* refused = nullptr;
+};
+
+/// Closes a turned-away request's trace: its serve.submit span, then its
+/// root, both errored (tail sampling keeps errored traces).
+void CloseRejectedTrace(Admission& a) {
+  if (a.span != nullptr) a.span->MarkError();
+  a.span.reset();
+  obs::RecordTraceRoot("serve.request", a.ctx.trace_id, a.submit_start,
+                       obs::Now(), a.resolution.route_id, /*error=*/true);
 }
 
 }  // namespace
@@ -29,10 +82,7 @@ EstimationServer::EstimationServer(ModelRouter* router,
     : router_(router), opts_([&options] {
         // Clamp degenerate knobs: the server is infrastructure and must stay
         // constructible with whatever an operator wires in.
-        options.max_batch = std::max<size_t>(1, options.max_batch);
         options.max_pending = std::max<size_t>(1, options.max_pending);
-        options.flush_deadline_seconds =
-            std::max(0.0, options.flush_deadline_seconds);
         options.num_workers = std::max(0, options.num_workers);
         return options;
       }()) {}
@@ -55,6 +105,13 @@ void EstimationServer::Start() {
     tail.latency_threshold_seconds = opts_.trace_tail_threshold_seconds;
     obs::TraceBuffer::Global().SetTailSampling(tail);
   }
+  // Serving begins: return the heap memory that set-up freed (generated
+  // workloads, training sets, model-build temporaries) to the OS. glibc
+  // keeps freed small blocks resident, and the serving phase's own growth
+  // would otherwise stack on top of them.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   for (int i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
@@ -74,7 +131,7 @@ void EstimationServer::Stop() {
     common::MutexLock lock(&mu_);
     // Drain whatever is still queued (everything, when num_workers == 0):
     // blocked clients get real responses from a stopping server, not errors.
-    while (FlushOneBatch(/*drain=*/true)) {
+    while (FlushOneBatch()) {
     }
     running_ = false;
     stop_ = false;
@@ -88,31 +145,13 @@ bool EstimationServer::running() const {
 
 common::StatusOr<est::EstimateResponse> EstimationServer::Estimate(
     const est::EstimateRequest& request) {
-  Slot slot;
-  QFCARD_RETURN_IF_ERROR(Enqueue(request, &slot));
-  return AwaitSlot(&slot);
+  return std::move(Serve({&request, 1}).front());
 }
 
 std::vector<common::StatusOr<est::EstimateResponse>>
 EstimationServer::EstimateMany(
     const std::vector<est::EstimateRequest>& requests) {
-  // All submissions go in before any wait, so concurrent-looking traffic
-  // from one client thread still coalesces into shared micro-batches.
-  std::vector<Slot> slots(requests.size());
-  std::vector<common::Status> admitted(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    admitted[i] = Enqueue(requests[i], &slots[i]);
-  }
-  std::vector<common::StatusOr<est::EstimateResponse>> results;
-  results.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!admitted[i].ok()) {
-      results.emplace_back(admitted[i]);
-    } else {
-      results.emplace_back(AwaitSlot(&slots[i]));
-    }
-  }
-  return results;
+  return Serve(requests);
 }
 
 size_t EstimationServer::PendingRequests() const {
@@ -125,118 +164,159 @@ uint64_t EstimationServer::BatchesFlushed() const {
   return batches_;
 }
 
-common::Status EstimationServer::Enqueue(const est::EstimateRequest& request,
-                                         Slot* slot) {
-  // Mint the request's trace: the root span id is reserved now so every
-  // span of the request — on this thread or a worker — can attach to it,
-  // and the root itself (serve.request) is recorded at completion with the
-  // request's full latency (tail sampling evaluates that duration).
-  const obs::Clock::time_point submit_start = obs::Now();
-  const uint64_t trace_id = obs::MintTraceId();
-  const obs::TraceContext root_ctx{trace_id, trace_id};
-  obs::TraceSpan span("serve.submit", root_ctx);
-  uint64_t trace_route = 0;
-  // Requests rejected before queueing never reach a worker, so the root
-  // span closes here — errored, which tail sampling keeps.
-  auto reject = [&](common::Status status) {
-    span.MarkError();
-    span.End();
-    obs::RecordTraceRoot("serve.request", trace_id, submit_start, obs::Now(),
-                         trace_route, /*error=*/true);
-    return status;
-  };
+std::vector<common::StatusOr<est::EstimateResponse>> EstimationServer::Serve(
+    std::span<const est::EstimateRequest> requests) {
+  const size_t n = requests.size();
+  std::vector<Admission> admissions(n);
+  std::vector<Slot> slots(n);
+  Call call;
+  bool accepting = false;
   {
     common::MutexLock lock(&mu_);
-    if (!running_ || stop_) {
+    accepting = running_ && !stop_;
+  }
+
+  // Mint each request's trace and route it. The root span id is reserved
+  // now so every span of the request — on this thread or a worker — can
+  // attach to it; the root itself (serve.request) is recorded at completion
+  // with the request's full latency, which tail sampling evaluates. Routing
+  // runs outside mu_: the router has its own lock, and an intelligent-policy
+  // first sight may build a model. A request turned away here closes its
+  // serve.submit span at once, while it is still the innermost open span.
+  for (size_t i = 0; i < n; ++i) {
+    Admission& a = admissions[i];
+    a.submit_start = obs::Now();
+    const uint64_t trace_id = obs::MintTraceId();
+    a.ctx = obs::TraceContext{trace_id, trace_id};
+    if (obs::TraceEnabled()) {
+      a.span.reset(new obs::TraceSpan("serve.submit", a.ctx));
+    }
+    if (!accepting) {
       CountServerRejected("not-running");
-      return reject(common::Status::FailedPrecondition(
-          "estimation server is not running"));
+      slots[i].status = common::Status::FailedPrecondition(
+          "estimation server is not running");
+      CloseRejectedTrace(a);
+      continue;
+    }
+    common::StatusOr<ModelRouter::Resolution> resolution = router_->Resolve(
+        requests[i].query, requests[i].options, requests[i].route_hint);
+    if (!resolution.ok()) {
+      slots[i].status = resolution.status();
+      CloseRejectedTrace(a);
+      continue;
+    }
+    a.resolution = std::move(resolution).value();
+    if (a.span != nullptr) a.span->SetRoute(a.resolution.route_id);
+  }
+
+  // Admit the whole call under one hold, so an idle dispatcher cannot flush
+  // half of it.
+  size_t admitted = 0;
+  {
+    common::MutexLock lock(&mu_);
+    const bool stopping = !running_ || stop_;
+    const obs::Clock::time_point now = obs::Now();
+    RouteQueue* queue = nullptr;
+    uint64_t queue_route = 0;
+    RouteMetrics metrics;
+    for (size_t i = 0; i < n; ++i) {
+      Admission& a = admissions[i];
+      if (!slots[i].status.ok()) continue;  // turned away before admission
+      if (stopping) {
+        a.refused = "not-running";
+        slots[i].status = common::Status::FailedPrecondition(
+            "estimation server is stopping");
+        continue;
+      }
+      if (pending_total_ >= opts_.max_pending) {
+        a.refused = "queue-full";
+        slots[i].status = common::Status::ResourceExhausted(
+            "estimation server queue is full (" +
+            std::to_string(opts_.max_pending) + " pending requests)");
+        continue;
+      }
+      if (queue == nullptr || a.resolution.route_id != queue_route) {
+        queue_route = a.resolution.route_id;
+        queue = &queues_[queue_route];
+        metrics = MetricsFor(*queue, queue_route);
+      }
+      queue->serving = std::move(a.resolution.serving);
+      if (queue->pending.empty()) queue->oldest = now;
+      queue->pending.push_back(
+          PendingRequest{&requests[i], &slots[i], &call, now, a.ctx});
+      ++pending_total_;
+      ++admitted;
+      if (metrics.requests != nullptr) metrics.requests->Add();
+    }
+    call.outstanding = admitted;
+    if (admitted > 0 && obs::MetricsEnabled()) {
+      GetServerSeries().queue_depth->Set(static_cast<int64_t>(pending_total_));
     }
   }
-  // Routing runs outside mu_: the router has its own lock, and an
-  // intelligent-policy first sight may build a model.
-  common::StatusOr<ModelRouter::Resolution> resolution_or =
-      router_->Resolve(request.query, request.options, request.route_hint);
-  if (!resolution_or.ok()) return reject(resolution_or.status());
-  ModelRouter::Resolution resolution = std::move(resolution_or).value();
-  trace_route = resolution.route_id;
-  span.SetRoute(resolution.route_id);
+  if (admitted > 0) work_cv_.NotifyOne();
 
-  common::MutexLock lock(&mu_);
-  if (!running_ || stop_) {
-    CountServerRejected("not-running");
-    return reject(common::Status::FailedPrecondition(
-        "estimation server is stopping"));
+  // Close the still-open serve.submit spans innermost first, so this
+  // thread's span chain unwinds in order.
+  for (size_t i = n; i-- > 0;) {
+    Admission& a = admissions[i];
+    if (a.refused == nullptr) {
+      a.span.reset();  // admitted, or already closed by routing
+      continue;
+    }
+    CountServerRejected(a.refused);
+    CloseRejectedTrace(a);
   }
-  if (pending_total_ >= opts_.max_pending) {
-    CountServerRejected("queue-full");
-    return reject(common::Status::ResourceExhausted(
-        "estimation server queue is full (" +
-        std::to_string(opts_.max_pending) + " pending requests)"));
+
+  if (admitted > 0) {
+    common::MutexLock lock(&mu_);
+    while (call.outstanding > 0) call.done_cv.Wait(&mu_);
   }
-  RouteQueue& queue = queues_[resolution.route_id];
-  queue.serving = std::move(resolution.serving);
-  const obs::Clock::time_point now = obs::Now();
-  if (queue.pending.empty()) queue.oldest = now;
-  queue.pending.push_back(PendingRequest{request.query, now, slot, root_ctx});
-  ++pending_total_;
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GaugeNamed("serve.route.queue_depth")
-        ->Set(static_cast<int64_t>(pending_total_));
-    obs::IncrementCounter("serve.route.requests",
-                          "route=" + FormatFss(resolution.route_id));
+  std::vector<common::StatusOr<est::EstimateResponse>> results;
+  results.reserve(n);
+  for (Slot& slot : slots) {
+    if (slot.status.ok()) {
+      results.emplace_back(std::move(slot.response));
+    } else {
+      results.emplace_back(std::move(slot.status));
+    }
   }
-  if (queue.pending.size() >= opts_.max_batch) {
-    // The batch is full: every dispatcher should look for work.
-    work_cv_.NotifyAll();
-  } else {
-    // Wake one dispatcher so it can re-arm its sleep to this request's
-    // flush deadline.
-    work_cv_.NotifyOne();
-  }
-  return common::Status::Ok();
+  return results;
 }
 
-common::StatusOr<est::EstimateResponse> EstimationServer::AwaitSlot(
-    Slot* slot) {
-  common::MutexLock lock(&mu_);
-  while (!slot->done) done_cv_.Wait(&mu_);
-  if (!slot->status.ok()) return slot->status;
-  return slot->response;
+EstimationServer::RouteMetrics EstimationServer::MetricsFor(
+    RouteQueue& queue, uint64_t route_id) {
+  if (!obs::MetricsEnabled()) return RouteMetrics{};
+  RouteMetrics& m = queue.metrics;
+  if (m.requests == nullptr) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    const std::string label = "route=" + FormatFss(route_id);
+    m.requests = reg.CounterNamed("serve.route.requests", label);
+    m.batches = reg.CounterNamed("serve.route.batches", label);
+    m.latency = reg.HistogramNamed("serve.route.latency_seconds",
+                                   obs::LatencyBounds(), label);
+    m.exec = reg.HistogramNamed("serve.route.exec_seconds",
+                                obs::LatencyBounds(), label);
+  }
+  return m;
 }
 
 void EstimationServer::WorkerLoop() {
   mu_.Lock();
   while (true) {
-    if (FlushOneBatch(/*drain=*/stop_)) continue;
-    if (stop_ && pending_total_ == 0) break;
-    // Sleep until the earliest pending flush deadline (or idle-long when
-    // nothing is queued); any enqueue or Stop notifies.
-    double wait = kIdleWaitSeconds;
-    const obs::Clock::time_point now = obs::Now();
-    for (const auto& [route_id, queue] : queues_) {
-      if (queue.pending.empty()) continue;
-      const double age = obs::SecondsBetween(queue.oldest, now);
-      wait = std::min(wait,
-                      std::max(0.0, opts_.flush_deadline_seconds - age));
-    }
-    work_cv_.WaitFor(&mu_, wait);
+    if (FlushOneBatch()) continue;
+    if (stop_) break;
+    work_cv_.Wait(&mu_);
   }
   mu_.Unlock();
 }
 
-bool EstimationServer::FlushOneBatch(bool drain) {
-  const obs::Clock::time_point now = obs::Now();
+bool EstimationServer::FlushOneBatch() {
+  // Work-conserving: any pending route is due. Of those, flush the one that
+  // has waited longest.
   RouteQueue* due = nullptr;
   uint64_t due_route = 0;
   for (auto& [route_id, queue] : queues_) {
     if (queue.pending.empty()) continue;
-    const bool ready =
-        drain || queue.pending.size() >= opts_.max_batch ||
-        obs::SecondsBetween(queue.oldest, now) >= opts_.flush_deadline_seconds;
-    if (!ready) continue;
-    // Fairness: of the due routes, flush the one that has waited longest.
     if (due == nullptr || queue.oldest < due->oldest) {
       due = &queue;
       due_route = route_id;
@@ -247,18 +327,19 @@ bool EstimationServer::FlushOneBatch(bool drain) {
   std::vector<PendingRequest> batch = std::move(due->pending);
   due->pending.clear();
   const std::shared_ptr<ServingEstimator> serving = due->serving;
+  const RouteMetrics metrics = MetricsFor(*due, due_route);
   pending_total_ -= batch.size();
   ++batches_;
+  // Another route still waits: hand it to an idle dispatcher, if any.
+  const bool more_pending = pending_total_ > 0;
   if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GaugeNamed("serve.route.queue_depth")
-        ->Set(static_cast<int64_t>(pending_total_));
+    GetServerSeries().queue_depth->Set(static_cast<int64_t>(pending_total_));
   }
 
-  // Execute outside the lock: enqueues and other flushes proceed while this
-  // micro-batch featurizes and predicts.
+  // Execute outside the lock: admissions and other flushes proceed while
+  // this micro-batch featurizes and predicts.
   mu_.Unlock();
-  const std::string route_label = "route=" + FormatFss(due_route);
+  if (more_pending) work_cv_.NotifyOne();
   const obs::Clock::time_point exec_start = obs::Now();
   double exec_seconds = 0.0;
   double featurize_seconds = 0.0;
@@ -275,13 +356,13 @@ bool EstimationServer::FlushOneBatch(bool drain) {
                       due_route);
       span.AddLink(p.ctx.trace_id);
     }
-    obs::ScopedTimer exec_timer("serve.route.exec_seconds", route_label);
+    obs::ScopedTimer exec_timer;
     // Stage capture: the backend's featurize/predict blocks report their
     // seconds here, giving every member its attribution split.
     obs::StageCapture capture;
     std::vector<est::EstimateRequest> requests(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      requests[i].query = std::move(batch[i].query);
+      requests[i].query = batch[i].request->query;
     }
     common::StatusOr<std::vector<est::EstimateResponse>> result =
         serving->EstimateRequests(requests);
@@ -291,34 +372,39 @@ bool EstimationServer::FlushOneBatch(bool drain) {
     predict_seconds = capture.seconds(obs::Stage::kPredict);
     return result;
   }();
-  obs::IncrementCounter("serve.route.batches", route_label);
+  if (metrics.batches != nullptr) {
+    metrics.batches->Add();
+    metrics.exec->Observe(exec_seconds);
+  }
 
-  // Stamp provenance and per-request latency (queue wait + execution)
-  // before publishing the slots.
+  // Stamp provenance and per-request latency (queue wait + execution) into
+  // the members' slots. Their clients read them only after the call count
+  // below reaches zero under mu_.
   const obs::Clock::time_point completed = obs::Now();
-  if (responses_or.ok()) {
-    std::vector<est::EstimateResponse>& responses = responses_or.value();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      responses[i].route_id = due_route;
-      responses[i].latency_seconds =
-          obs::SecondsBetween(batch[i].enqueued, completed);
-      responses[i].trace_id = batch[i].ctx.trace_id;
-      responses[i].stages.queue_wait_seconds =
-          obs::SecondsBetween(batch[i].enqueued, exec_start);
-      responses[i].stages.batch_exec_seconds = exec_seconds;
-      responses[i].stages.featurize_seconds = featurize_seconds;
-      responses[i].stages.predict_seconds = predict_seconds;
-      obs::ObserveLatency("serve.route.latency_seconds",
-                          responses[i].latency_seconds, route_label);
-      const est::StageBreakdown& stages = responses[i].stages;
-      obs::ObserveLatency("serve.request.stage_seconds",
-                          stages.queue_wait_seconds, "stage=queue_wait");
-      obs::ObserveLatency("serve.request.stage_seconds",
-                          stages.batch_exec_seconds, "stage=batch_exec");
-      obs::ObserveLatency("serve.request.stage_seconds",
-                          stages.featurize_seconds, "stage=featurize");
-      obs::ObserveLatency("serve.request.stage_seconds",
-                          stages.predict_seconds, "stage=predict");
+  const ServerSeries* series =
+      metrics.latency != nullptr ? &GetServerSeries() : nullptr;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PendingRequest& p = batch[i];
+    if (!responses_or.ok()) {
+      p.slot->status = responses_or.status();
+      continue;
+    }
+    est::EstimateResponse& response = p.slot->response;
+    response = std::move(responses_or.value()[i]);
+    response.route_id = due_route;
+    response.latency_seconds = obs::SecondsBetween(p.enqueued, completed);
+    response.trace_id = p.ctx.trace_id;
+    est::StageBreakdown& stages = response.stages;
+    stages.queue_wait_seconds = obs::SecondsBetween(p.enqueued, exec_start);
+    stages.batch_exec_seconds = exec_seconds;
+    stages.featurize_seconds = featurize_seconds;
+    stages.predict_seconds = predict_seconds;
+    if (series != nullptr) {
+      metrics.latency->Observe(response.latency_seconds);
+      series->queue_wait->Observe(stages.queue_wait_seconds);
+      series->batch_exec->Observe(stages.batch_exec_seconds);
+      series->featurize->Observe(stages.featurize_seconds);
+      series->predict->Observe(stages.predict_seconds);
     }
   }
   // Close out every member's trace root with its full latency — the
@@ -328,26 +414,21 @@ bool EstimationServer::FlushOneBatch(bool drain) {
     obs::RecordTraceRoot("serve.request", p.ctx.trace_id, p.enqueued,
                          completed, due_route, !responses_or.ok());
   }
-  if (obs::MetricsEnabled()) {
+  if (series != nullptr) {
     const obs::TraceBuffer& buffer = obs::TraceBuffer::Global();
-    obs::MetricsRegistry::Global()
-        .GaugeNamed("serve.trace.sampled")
-        ->Set(static_cast<int64_t>(buffer.TailSampledTraces()));
-    obs::MetricsRegistry::Global()
-        .GaugeNamed("serve.trace.dropped")
-        ->Set(static_cast<int64_t>(buffer.TailDroppedSpans()));
+    series->trace_sampled->Set(
+        static_cast<int64_t>(buffer.TailSampledTraces()));
+    series->trace_dropped->Set(
+        static_cast<int64_t>(buffer.TailDroppedSpans()));
   }
 
   mu_.Lock();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (responses_or.ok()) {
-      batch[i].slot->response = responses_or.value()[i];
-    } else {
-      batch[i].slot->status = responses_or.status();
-    }
-    batch[i].slot->done = true;
+  // Wake each call whose last request this batch answered, and only those.
+  // The notify stays under mu_: once it drops, the woken client may return
+  // and destroy its Call.
+  for (const PendingRequest& p : batch) {
+    if (--p.call->outstanding == 0) p.call->done_cv.NotifyOne();
   }
-  done_cv_.NotifyAll();
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -12,23 +13,17 @@
 #include "common/thread_annotations.h"
 #include "estimators/request.h"
 #include "obs/clock.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/router.h"
 
 namespace qfcard::serve {
 
 struct EstimationServerOptions {
-  /// A route's pending micro-batch is flushed as soon as it holds this many
-  /// requests...
-  size_t max_batch = 64;
-  /// ...or as soon as its oldest request has waited this long, whichever
-  /// comes first. The deadline bounds tail latency at low QPS; the size
-  /// bound amortizes featurization + model dispatch at high QPS (the
-  /// paper's Table 7 cost).
-  double flush_deadline_seconds = 0.001;
   /// Admission control: total requests queued across all routes. Beyond it
   /// new submissions are rejected with ResourceExhausted instead of growing
-  /// the queue without bound.
+  /// the queue without bound. It is also the only bound on a micro-batch: a
+  /// flush takes its route's whole pending list.
   size_t max_pending = 4096;
   /// Dispatcher threads executing flushed batches. 0 is a test hook: nothing
   /// flushes until Stop() drains synchronously.
@@ -46,7 +41,14 @@ struct EstimationServerOptions {
 /// feature-space model via the ModelRouter and coalesces requests that hit
 /// the same route — across client connections — into one
 /// ServingEstimator::EstimateRequests call through a bounded micro-batching
-/// queue (flush on size or deadline).
+/// queue.
+///
+/// Dispatch is work-conserving: a dispatcher with nothing to do flushes the
+/// route whose oldest request has waited longest, taking its whole pending
+/// list, so an idle server answers a lone request at once and batches form
+/// only while every dispatcher is busy. EstimateMany admits its whole call
+/// under one queue-lock hold, so an idle dispatcher never splits a call it
+/// could have served as one batch.
 ///
 /// Because every estimator's batch results are byte-identical to the serial
 /// per-query path (docs/batch_api.md), how the server groups concurrent
@@ -66,6 +68,8 @@ struct EstimationServerOptions {
 /// queue_depth (gauge), plus the router's rejected{reason=...} counters,
 /// per-request serve.request.stage_seconds{stage=...} attribution
 /// histograms, and the serve.trace.sampled/dropped tail-sampling gauges.
+/// Their handles are resolved once (per route, and per process for the
+/// server-wide series), so admission and answering build no label strings.
 ///
 /// Tracing (docs/observability.md): each admitted request mints a
 /// TraceContext whose root span (serve.request) is recorded when the
@@ -86,7 +90,8 @@ class EstimationServer {
   EstimationServer(const EstimationServer&) = delete;
   EstimationServer& operator=(const EstimationServer&) = delete;
 
-  /// Spawns the dispatcher workers. Idempotent.
+  /// Spawns the dispatcher workers and returns heap memory freed before
+  /// serving to the OS (glibc). Idempotent.
   void Start();
 
   /// Stops accepting new requests, drains every pending micro-batch (blocked
@@ -101,8 +106,11 @@ class EstimationServer {
   common::StatusOr<est::EstimateResponse> Estimate(
       const est::EstimateRequest& request);
 
-  /// Submits all requests before waiting on any, so they can share
-  /// micro-batches; returns one result per request in input order.
+  /// Routes every request, then admits the whole call under one queue-lock
+  /// hold before waiting, so the call's requests share micro-batches;
+  /// returns one result per request in input order. Admission outcomes are
+  /// per request: once max_pending is reached the rest of the call is
+  /// rejected with ResourceExhausted.
   std::vector<common::StatusOr<est::EstimateResponse>> EstimateMany(
       const std::vector<est::EstimateRequest>& requests);
 
@@ -117,24 +125,43 @@ class EstimationServer {
   const ModelRouter& router() const { return *router_; }
 
  private:
-  /// One blocked client's result slot. Lives on the client's stack; written
-  /// by the flushing worker and read by the owner, both under mu_ (the
-  /// fields carry no annotations because slots are locals, but every access
-  /// after enqueue happens with mu_ held).
+  /// One blocked Estimate/EstimateMany call. Lives on the client's stack;
+  /// `outstanding` is read and written only under mu_ (no annotation: calls
+  /// are locals). The worker that answers the call's last admitted request
+  /// wakes done_cv — and no other client.
+  struct Call {
+    size_t outstanding = 0;  ///< admitted requests not yet answered
+    common::CondVar done_cv;
+  };
+
+  /// One request's result, on the client's stack. The answering worker
+  /// writes it before it decrements the call's `outstanding` under mu_; the
+  /// client reads it only after `outstanding` reached 0.
   struct Slot {
     est::EstimateResponse response;
     common::Status status;
-    bool done = false;
   };
 
   struct PendingRequest {
-    query::Query query;
-    obs::Clock::time_point enqueued;
+    /// The caller's request, not a copy: the caller blocks until this
+    /// request is answered (Stop()'s drain included), so it stays alive.
+    const est::EstimateRequest* request = nullptr;
     Slot* slot = nullptr;
+    Call* call = nullptr;
+    obs::Clock::time_point enqueued;
     /// Trace identity minted at admission ({trace_id, trace_id}: children
     /// recorded by the worker parent under the request's root span).
     /// Invalid when tracing is off.
     obs::TraceContext ctx;
+  };
+
+  /// A route's serve.route.* handles, resolved on its first admission or
+  /// flush with metrics on. Null until then.
+  struct RouteMetrics {
+    obs::Counter* requests = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Histogram* latency = nullptr;
+    obs::Histogram* exec = nullptr;
   };
 
   /// Per-feature-space micro-batch accumulator.
@@ -142,27 +169,31 @@ class EstimationServer {
     std::shared_ptr<ServingEstimator> serving;
     std::vector<PendingRequest> pending;
     obs::Clock::time_point oldest;  ///< enqueue time of pending.front()
+    RouteMetrics metrics;
   };
 
-  /// Resolves, admits, and enqueues without waiting. On success the slot
-  /// will eventually be completed by a worker (or the Stop() drain).
-  common::Status Enqueue(const est::EstimateRequest& request, Slot* slot);
+  /// Estimate and EstimateMany: routes, admits the call whole, and blocks
+  /// until every admitted request is answered.
+  std::vector<common::StatusOr<est::EstimateResponse>> Serve(
+      std::span<const est::EstimateRequest> requests);
 
-  /// Blocks until *slot is done and returns its result.
-  common::StatusOr<est::EstimateResponse> AwaitSlot(Slot* slot);
+  /// `queue`'s metric handles, resolved on first use; all null when metrics
+  /// are off.
+  RouteMetrics MetricsFor(RouteQueue& queue, uint64_t route_id)
+      QFCARD_REQUIRES(mu_);
 
   void WorkerLoop();
 
-  /// Flushes one due micro-batch if any, returning true when work was done.
-  /// `drain` ignores size/deadline and flushes whatever is pending.
-  bool FlushOneBatch(bool drain) QFCARD_REQUIRES(mu_);
+  /// Flushes the whole pending list of the route that has waited longest,
+  /// returning false when nothing is pending. Drops mu_ while the batch
+  /// executes.
+  bool FlushOneBatch() QFCARD_REQUIRES(mu_);
 
   ModelRouter* const router_;
   const EstimationServerOptions opts_;
 
   mutable common::Mutex mu_;
   common::CondVar work_cv_;  ///< wakes dispatchers (new work, stop)
-  common::CondVar done_cv_;  ///< wakes blocked clients (slots completed)
   std::map<uint64_t, RouteQueue> queues_ QFCARD_GUARDED_BY(mu_);
   size_t pending_total_ QFCARD_GUARDED_BY(mu_) = 0;
   uint64_t batches_ QFCARD_GUARDED_BY(mu_) = 0;

@@ -34,6 +34,9 @@ common::StatusOr<std::vector<LabeledQuery>> LabelParallel(
     if (drop_empty && cards[i] == 0) continue;
     out.push_back(LabeledQuery{queries[i], static_cast<double>(cards[i])});
   }
+  // Dropped queries would leave their reserved slots allocated for as long
+  // as the labeled set lives.
+  if (drop_empty) out.shrink_to_fit();
   return out;
 }
 

@@ -301,9 +301,7 @@ void CheckServerMatchesDirect(
     std::shared_ptr<const est::CardinalityEstimator> model,
     int client_threads) {
   ModelRouter router(SharedModelOptions(model));
-  EstimationServerOptions sopts;
-  sopts.max_batch = 8;  // small batches force multi-flush interleavings
-  EstimationServer server(&router, sopts);
+  EstimationServer server(&router);
   server.Start();
 
   std::vector<std::thread> clients;
@@ -521,9 +519,7 @@ TEST_F(TracedServerTest, TwoClientMicroBatchedRunIsFullyConnected) {
   const storage::Catalog catalog = ServerCatalog();
   const auto model = TrainedGb(catalog);
   ModelRouter router(SharedModelOptions(model));
-  EstimationServerOptions sopts;
-  sopts.max_batch = 4;  // force several micro-batches per client
-  EstimationServer server(&router, sopts);
+  EstimationServer server(&router);
   server.Start();
 
   constexpr int kClients = 2;
@@ -652,18 +648,40 @@ TEST_F(TracedServerTest, SpanTreeShapeIsIdenticalAcrossPoolSizes) {
   EXPECT_GE(serial.count("serve.batch > estimate.batch"), 12u);
 }
 
-TEST(EstimationServer, DeadlineFlushesPartialBatches) {
+TEST(EstimationServer, IdleDispatcherFlushesALoneRequest) {
   const storage::Catalog catalog = ServerCatalog();
   ModelRouter router(SharedModelOptions(Postgres(catalog)));
-  EstimationServerOptions sopts;
-  sopts.max_batch = 1024;  // size alone would never flush a single request
-  sopts.flush_deadline_seconds = 0.002;
-  EstimationServer server(&router, sopts);
+  EstimationServer server(&router);
   server.Start();
   est::EstimateRequest request;
   request.query = ShapeA(30.0);
-  // Completion of a lone request proves the deadline path fires.
+  // Nothing else is queued and no size or deadline gates the flush: an idle
+  // dispatcher answers the lone request as a batch of one.
   EXPECT_TRUE(server.Estimate(request).ok());
+  EXPECT_EQ(server.BatchesFlushed(), 1u);
+  server.Stop();
+}
+
+// Whole-call admission: the single dispatcher of an idle server sees either
+// none or all of an EstimateMany call on one route, never a prefix of it.
+TEST(EstimationServer, EstimateManyCallIsOneBatchOnAnIdleServer) {
+  const storage::Catalog catalog = ServerCatalog();
+  ModelRouter router(SharedModelOptions(Postgres(catalog)));
+  EstimationServerOptions sopts;
+  sopts.num_workers = 1;
+  EstimationServer server(&router, sopts);
+  server.Start();
+  std::vector<est::EstimateRequest> requests(48);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].query = ShapeA(static_cast<double>(i), 4.0 + i % 7);
+  }
+  const auto results = server.EstimateMany(requests);
+  ASSERT_EQ(results.size(), requests.size());
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->route_id, results.front()->route_id);
+  }
+  EXPECT_EQ(server.BatchesFlushed(), 1u);
   server.Stop();
 }
 
