@@ -198,7 +198,9 @@ int main(int argc, char** argv) {
 
   serve::ModelRouterOptions ropts;
   ropts.policy = opts.mode;
-  uint64_t next_version = 1;
+  // Bumped by the route factory on client threads and by the hot swap on
+  // this one.
+  std::atomic<uint64_t> next_version{1};
   if (opts.mode == serve::RoutePolicy::kIntelligent) {
     // First sight of a shape serves a statistics-based model instantly; a
     // trained model can be hot-swapped in behind the same route id later.
@@ -280,7 +282,7 @@ int main(int argc, char** argv) {
     while ((route = router.FindRoute(range_fss)) == nullptr) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    const uint64_t gb_version = next_version++;
+    const uint64_t gb_version = next_version.fetch_add(1);
     route->Swap(
         std::shared_ptr<const est::CardinalityEstimator>(std::move(gb)),
         gb_version);

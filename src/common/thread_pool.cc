@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/env.h"
-#include "common/pool_stats.h"
+#include "obs/metrics.h"
 
 namespace qfcard::common {
 
@@ -20,22 +20,37 @@ int64_t ChunkSize(int64_t n, int num_threads) {
   return std::clamp<int64_t>(target, 1, 256);
 }
 
-// The telemetry sink, if any. obs/pool_metrics.cc installs one that forwards
-// into the threadpool.* series; common/ itself never sees obs/ (layering,
-// tools/layers.json). Returns nullptr when disabled so call sites pay one
-// relaxed load + one virtual call per ParallelFor when metrics are off.
-PoolStatsSink* ActiveSink() {
-  PoolStatsSink* sink = GetPoolStatsSink();
-  return (sink != nullptr && sink->Enabled()) ? sink : nullptr;
-}
+// threadpool.* series (docs/observability.md), resolved once so the hot
+// path updates them lock-free. Every series is created on first use —
+// including queue_wait_seconds, which a 1-thread pool never observes — so
+// snapshots have the same shape at every thread count (the CI schema check
+// runs at QFCARD_THREADS=1 and 4). Call only with metrics on.
+struct PoolSeries {
+  obs::Counter* calls;
+  obs::Counter* inline_calls;
+  obs::Counter* indices;
+  obs::Counter* chunks;
+  obs::Histogram* queue_wait;
+  obs::Histogram* task_run;
+  obs::Gauge* size;
+};
 
-// The trace-context bridge, if any. obs/trace.cc installs one so spans
-// opened inside pool tasks join the submitting thread's trace; same
-// layering inversion as the stats sink. Returns nullptr when tracing is
-// off so the handoff costs one relaxed load + one virtual call.
-PoolTraceBridge* ActiveBridge() {
-  PoolTraceBridge* bridge = GetPoolTraceBridge();
-  return (bridge != nullptr && bridge->Enabled()) ? bridge : nullptr;
+const PoolSeries& Series() {
+  static const PoolSeries series = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    PoolSeries s;
+    s.calls = reg.CounterNamed("threadpool.parallel_for_calls");
+    s.inline_calls = reg.CounterNamed("threadpool.inline_calls");
+    s.indices = reg.CounterNamed("threadpool.indices");
+    s.chunks = reg.CounterNamed("threadpool.chunks");
+    s.queue_wait = reg.HistogramNamed("threadpool.queue_wait_seconds",
+                                      obs::LatencyBounds());
+    s.task_run = reg.HistogramNamed("threadpool.task_run_seconds",
+                                    obs::LatencyBounds());
+    s.size = reg.GaugeNamed("threadpool.size");
+    return s;
+  }();
+  return series;
 }
 
 }  // namespace
@@ -60,21 +75,21 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::RunJob() {
   FunctionRef<void(int64_t)> fn;
   int64_t n = 0;
-  PoolTraceToken trace_token;
+  obs::TraceContext trace;
   {
     MutexLock lock(&mu_);
     fn = job_fn_;
     n = job_n_;
-    trace_token = job_trace_;
+    trace = job_trace_;
   }
   if (!fn) return;
-  // Task boundary: install the submitter's trace context for the duration
-  // of this thread's claim loop, restoring the prior chain afterwards (the
-  // Release half is what keeps a leaked span from poisoning later tasks).
-  PoolTraceBridge* bridge = ActiveBridge();
-  if (bridge != nullptr) bridge->Adopt(trace_token);
-  PoolStatsSink* sink = ActiveSink();
-  const double run_start = sink != nullptr ? sink->NowSeconds() : 0.0;
+  // Task boundary: the claim loop runs under the submitter's trace context,
+  // and the scope restores this thread's own chain afterwards (that restore
+  // is what keeps a leaked span from poisoning later tasks).
+  const obs::ScopedTraceContext task_context(trace);
+  const bool metrics = obs::MetricsEnabled();
+  const obs::Clock::time_point run_start =
+      metrics ? obs::Now() : obs::Clock::time_point();
   uint64_t claimed_chunks = 0;
   const int64_t chunk = ChunkSize(n, num_threads_);
   for (;;) {
@@ -97,16 +112,17 @@ void ThreadPool::RunJob() {
       }
     }
   }
-  if (bridge != nullptr) bridge->Release();
-  if (sink != nullptr) {
-    sink->OnJobRun(claimed_chunks, sink->NowSeconds() - run_start);
+  if (metrics) {
+    const PoolSeries& s = Series();
+    s.chunks->Add(claimed_chunks);
+    s.task_run->Observe(obs::SecondsBetween(run_start, obs::Now()));
   }
 }
 
 void ThreadPool::WorkerLoop() {
   uint64_t seen_job = 0;
   for (;;) {
-    double publish = 0.0;
+    obs::Clock::time_point publish;
     {
       MutexLock lock(&mu_);
       while (!shutdown_ && job_id_ == seen_job) work_cv_.Wait(&mu_);
@@ -114,12 +130,11 @@ void ThreadPool::WorkerLoop() {
       seen_job = job_id_;
       publish = job_publish_;
     }
-    if (publish != 0.0) {
+    if (publish != obs::Clock::time_point() && obs::MetricsEnabled()) {
       // Queue wait: ParallelFor publishing the job to this worker picking
-      // it up (condvar wake + scheduling latency). publish is 0 when the
-      // sink was off at publish time.
-      PoolStatsSink* sink = ActiveSink();
-      if (sink != nullptr) sink->OnQueueWait(sink->NowSeconds() - publish);
+      // it up (condvar wake + scheduling latency). publish is the epoch
+      // when metrics were off at publish time.
+      Series().queue_wait->Observe(obs::SecondsBetween(publish, obs::Now()));
     }
     RunJob();
     {
@@ -131,14 +146,19 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(int64_t n, FunctionRef<void(int64_t)> fn) {
   if (n <= 0) return;
-  PoolStatsSink* sink = ActiveSink();
-  if (sink != nullptr) sink->OnParallelFor(n, num_threads_);
+  const bool metrics = obs::MetricsEnabled();
+  if (metrics) {
+    const PoolSeries& s = Series();
+    s.calls->Add();
+    s.indices->Add(static_cast<uint64_t>(n));
+    s.size->Set(num_threads_);
+  }
   bool expected = false;
   const bool parallel =
       num_threads_ > 1 && n > 1 &&
       busy_.compare_exchange_strong(expected, true);
   if (!parallel) {
-    if (sink != nullptr) sink->OnInlineRun();
+    if (metrics) Series().inline_calls->Add();
     // Serial pool, trivial loop, or a job already in flight (nested call):
     // run inline on the calling thread. Every index runs even after a
     // throw, matching the parallel path, and the smallest failing index's
@@ -158,11 +178,8 @@ void ThreadPool::ParallelFor(int64_t n, FunctionRef<void(int64_t)> fn) {
     MutexLock lock(&mu_);
     job_fn_ = fn;
     job_n_ = n;
-    job_publish_ = sink != nullptr ? sink->NowSeconds() : 0.0;
-    {
-      PoolTraceBridge* bridge = ActiveBridge();
-      job_trace_ = bridge != nullptr ? bridge->Capture() : PoolTraceToken{};
-    }
+    job_publish_ = metrics ? obs::Now() : obs::Clock::time_point();
+    job_trace_ = obs::CurrentTraceContext();
     next_index_.store(0, std::memory_order_relaxed);
     {
       MutexLock err_lock(&err_mu_);

@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/pool_stats.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "obs/clock.h"
+#include "obs/trace.h"
 
 namespace qfcard::common {
 
@@ -92,13 +93,16 @@ class FunctionRef<R(Args...)> {
 /// task_run_seconds: per-thread time inside the claim loop). When metrics
 /// are off the added cost is one relaxed atomic load per call.
 ///
-/// Tracing (docs/observability.md): when QFCARD_TRACE is on, ParallelFor
-/// captures the caller's trace context (PoolTraceBridge) into the job and
-/// every thread running the job adopts it around its claim loop, so spans a
+/// Tracing (docs/observability.md): ParallelFor stores the caller's
+/// obs::CurrentTraceContext() in the job, and every thread running the job
+/// installs it around its claim loop (obs::ScopedTraceContext), so spans a
 /// task opens on a worker parent under the submitting span instead of
-/// starting stray per-worker roots. Release at the task boundary restores
-/// the worker's prior chain unconditionally — a task that leaks an unclosed
-/// span cannot corrupt attribution for later tasks on that worker.
+/// starting stray per-worker roots. The scope restores the thread's prior
+/// chain unconditionally — a task that leaks an unclosed span cannot corrupt
+/// attribution for later tasks on that worker.
+///
+/// The pool sits in the `pool` layer, one above obs/ (tools/layers.json),
+/// so it records its series and trace handoff directly.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads`-way parallelism (clamped to >= 1).
@@ -146,13 +150,13 @@ class ThreadPool {
   uint64_t job_id_ QFCARD_GUARDED_BY(mu_) = 0;
   int64_t job_n_ QFCARD_GUARDED_BY(mu_) = 0;
   FunctionRef<void(int64_t)> job_fn_ QFCARD_GUARDED_BY(mu_);
-  // When the current job was published, in PoolStatsSink::NowSeconds()
-  // time; workers subtract this from their wake time to measure queue
-  // wait. 0.0 when no sink was active at publish time.
-  double job_publish_ QFCARD_GUARDED_BY(mu_) = 0.0;
-  // Trace context of the thread that published the current job; adopted by
-  // every thread running it. Zero when no bridge was active at publish.
-  PoolTraceToken job_trace_ QFCARD_GUARDED_BY(mu_);
+  // When the current job was published; workers subtract this from their
+  // wake time to measure queue wait. The clock's epoch when metrics were
+  // off at publish time.
+  obs::Clock::time_point job_publish_ QFCARD_GUARDED_BY(mu_);
+  // Trace context of the thread that published the current job; installed
+  // on every thread running it.
+  obs::TraceContext job_trace_ QFCARD_GUARDED_BY(mu_);
   // Workers still inside the current job.
   int workers_active_ QFCARD_GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> next_index_{0};

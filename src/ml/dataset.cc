@@ -77,7 +77,10 @@ float CardToLabel(double card) {
 }
 
 double LabelToCard(float label) {
-  return std::max(std::exp2(static_cast<double>(label)), 1.0);
+  // Written so a NaN label (a damaged model) maps to 1 as well: std::max
+  // would pass the NaN through.
+  const double card = std::exp2(static_cast<double>(label));
+  return card >= 1.0 ? card : 1.0;
 }
 
 }  // namespace qfcard::ml

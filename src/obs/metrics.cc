@@ -14,7 +14,6 @@ namespace internal {
 std::atomic<int> g_metrics_mode{-1};
 
 bool ResolveMetricsMode() {
-  InstallPoolStatsSink();
   const bool on = common::GetEnvInt("QFCARD_METRICS", 0) != 0;
   int expected = -1;
   g_metrics_mode.compare_exchange_strong(expected, on ? 1 : 0,
@@ -58,7 +57,6 @@ std::string JsonEscape(std::string_view s) {
 }  // namespace internal
 
 void SetMetricsEnabled(bool enabled) {
-  internal::InstallPoolStatsSink();
   internal::g_metrics_mode.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 

@@ -24,10 +24,6 @@ namespace internal {
 extern std::atomic<int> g_metrics_mode;
 // Resolves the QFCARD_METRICS environment variable (first call only).
 bool ResolveMetricsMode();
-// Installs the threadpool.* stats sink into common::ThreadPool (idempotent;
-// obs/pool_metrics.cc). Both mode setters call it, so every binary that can
-// turn metrics on links the sink.
-void InstallPoolStatsSink();
 }  // namespace internal
 
 /// Whether metric recording is on. Defaults to the QFCARD_METRICS

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/env.h"
-#include "common/pool_stats.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
 
@@ -40,8 +39,8 @@ namespace {
 // Innermost open span on this thread and the trace it belongs to; new spans
 // parent under the pair. Spans are strictly scope-nested per thread (RAII),
 // so plain per-thread variables suffice — no synchronization needed. A
-// cross-thread re-attach (TraceSpan(name, ctx), PoolTraceBridge::Adopt)
-// saves and restores both.
+// cross-thread re-attach (TraceSpan(name, ctx), ScopedTraceContext) saves
+// and restores both.
 thread_local uint64_t tls_current_span = 0;
 thread_local uint64_t tls_current_trace = 0;
 
@@ -59,6 +58,17 @@ uint32_t CurrentThreadIndex() {
 
 TraceContext CurrentTraceContext() {
   return TraceContext{tls_current_trace, tls_current_span};
+}
+
+ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx)
+    : prev_(CurrentTraceContext()) {
+  tls_current_trace = ctx.trace_id;
+  tls_current_span = ctx.parent_span_id;
+}
+
+ScopedTraceContext::~ScopedTraceContext() {
+  tls_current_trace = prev_.trace_id;
+  tls_current_span = prev_.parent_span_id;
 }
 
 // ---------------------------------------------------------------------------
@@ -90,15 +100,15 @@ void TraceBuffer::KeepTrace(uint64_t trace_id) {
   }
 }
 
-void TraceBuffer::Record(SpanRecord span) {
+void TraceBuffer::Record(SpanRecord span, Clock::time_point start) {
   common::MutexLock lock(&mu_);
+  span.start_s = SecondsBetween(epoch_, start);
   // Keep-decision at trace-root close (the root is recorded last, after its
   // children): a slow or errored request marks its whole trace kept, so the
   // eviction path below rescues the trace's spans from the ring.
   if (tail_.enabled && span.trace_id != 0 && span.id == span.trace_id) {
     const bool slow = span.duration_s >= tail_.latency_threshold_seconds;
-    const bool errored = tail_.keep_errors && span.error;
-    if (slow || errored) KeepTrace(span.trace_id);
+    if (slow || span.error) KeepTrace(span.trace_id);
   }
   // A full ring overwrites its oldest span; a victim that belongs to a
   // tail-sampled trace is rescued into the bounded side store.
@@ -250,10 +260,9 @@ void TraceSpan::End() {
   span.thread_index = owner_thread_;
   span.error = error_;
   span.name = name_;
-  span.start_s = buffer.SinceEpoch(start_);
   span.duration_s = SecondsBetween(start_, Now());
   span.links = std::move(links_);
-  buffer.Record(std::move(span));
+  buffer.Record(std::move(span), start_);
 }
 
 uint64_t RecordSpan(const char* name, const TraceContext& ctx,
@@ -262,16 +271,16 @@ uint64_t RecordSpan(const char* name, const TraceContext& ctx,
   if (!TraceEnabled()) return 0;
   TraceBuffer& buffer = TraceBuffer::Global();
   SpanRecord span;
-  span.id = buffer.NextId();
+  const uint64_t id = buffer.NextId();
+  span.id = id;
   span.parent_id = ctx.parent_span_id;
   span.trace_id = ctx.trace_id;
   span.route = route;
   span.thread_index = CurrentThreadIndex();
   span.name = name;
-  span.start_s = buffer.SinceEpoch(start);
   span.duration_s = SecondsBetween(start, end);
-  buffer.Record(std::move(span));
-  return span.id;
+  buffer.Record(std::move(span), start);
+  return id;
 }
 
 void RecordTraceRoot(const char* name, uint64_t trace_id,
@@ -287,9 +296,8 @@ void RecordTraceRoot(const char* name, uint64_t trace_id,
   span.thread_index = CurrentThreadIndex();
   span.error = error;
   span.name = name;
-  span.start_s = buffer.SinceEpoch(start);
   span.duration_s = SecondsBetween(start, end);
-  buffer.Record(std::move(span));
+  buffer.Record(std::move(span), start);
 }
 
 uint64_t MintTraceId() {
@@ -316,55 +324,6 @@ void StageCapture::Report(Stage stage, double seconds) {
   if (capture == nullptr) return;
   capture->seconds_[static_cast<int>(stage)] += seconds;
 }
-
-// ---------------------------------------------------------------------------
-// ThreadPool context handoff (common::PoolTraceBridge)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Saved (trace, span) pairs for nested Adopt/Release on this thread.
-thread_local std::vector<std::pair<uint64_t, uint64_t>> tls_adopt_stack;
-
-// The one real bridge: lets common::ThreadPool capture the submitting
-// thread's context and re-install it on workers without common/ including
-// obs/ (same inversion as PoolStatsSink; see obs/pool_metrics.cc).
-class PoolTraceBridgeImpl final : public common::PoolTraceBridge {
- public:
-  bool Enabled() const override { return TraceEnabled(); }
-
-  common::PoolTraceToken Capture() const override {
-    return common::PoolTraceToken{tls_current_trace, tls_current_span};
-  }
-
-  void Adopt(const common::PoolTraceToken& token) override {
-    tls_adopt_stack.emplace_back(tls_current_trace, tls_current_span);
-    tls_current_trace = token.trace_id;
-    tls_current_span = token.span_id;
-  }
-
-  void Release() override {
-    // Restoring (rather than leaving whatever the task set) is the fix for
-    // leaked unclosed spans corrupting every later task on this worker.
-    if (tls_adopt_stack.empty()) {
-      tls_current_trace = 0;
-      tls_current_span = 0;
-      return;
-    }
-    tls_current_trace = tls_adopt_stack.back().first;
-    tls_current_span = tls_adopt_stack.back().second;
-    tls_adopt_stack.pop_back();
-  }
-};
-
-struct PoolTraceInstaller {
-  PoolTraceInstaller() { common::SetPoolTraceBridge(&bridge); }
-  PoolTraceBridgeImpl bridge;
-};
-
-PoolTraceInstaller g_pool_trace_installer;
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Exports

@@ -58,8 +58,26 @@ struct TraceContext {
 /// The calling thread's current context: the innermost open span and its
 /// trace. {0, 0} when tracing is off or no span is open. This is what
 /// ThreadPool captures at ParallelFor submission and re-installs on its
-/// workers (common/pool_stats.h, PoolTraceBridge).
+/// workers (ScopedTraceContext).
 TraceContext CurrentTraceContext();
+
+/// Runs the calling thread under `ctx` for the scope's lifetime: spans
+/// opened meanwhile parent under ctx.parent_span_id and join ctx.trace_id.
+/// The destructor restores the thread's previous chain unconditionally, so
+/// a span left open inside the scope cannot leak out of it. ThreadPool
+/// wraps every claim loop in one to carry the submitter's context to its
+/// workers.
+class ScopedTraceContext {
+ public:
+  explicit ScopedTraceContext(const TraceContext& ctx);
+  ~ScopedTraceContext();
+
+  ScopedTraceContext(const ScopedTraceContext&) = delete;
+  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
+
+ private:
+  TraceContext prev_;
+};
 
 /// Dense id of the calling thread (assigned on first use, starting at 0 for
 /// the first thread that records). Exported as the tid lane in the
@@ -98,8 +116,6 @@ struct TailSamplingOptions {
   bool enabled = false;
   /// Root spans at least this slow mark their trace kept.
   double latency_threshold_seconds = 0.010;
-  /// Roots that closed with MarkError() mark their trace kept.
-  bool keep_errors = true;
   /// Bound on the side store (spans). Beyond it, evicted spans of kept
   /// traces are counted in TailDroppedSpans() and destroyed.
   size_t retained_capacity = 16384;
@@ -124,15 +140,10 @@ class TraceBuffer {
   /// Next span id (also bumps the sequence).
   uint64_t NextId() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Seconds since the buffer epoch. Takes the buffer lock: Reset()
-  /// re-anchors the epoch, and a span closing concurrently with a reset
-  /// must not read a torn time_point.
-  double SinceEpoch(Clock::time_point t) const {
-    common::MutexLock lock(&mu_);
-    return SecondsBetween(epoch_, t);
-  }
-
-  void Record(SpanRecord span);
+  /// Records a finished span that started at `start`; its start_s is set
+  /// relative to the epoch under the same lock hold that appends it, so a
+  /// span closing concurrently with a Reset() never reads a torn epoch.
+  void Record(SpanRecord span, Clock::time_point start);
 
   /// Finished spans: tail-sampling retainees first (they are the oldest),
   /// then the ring oldest first.

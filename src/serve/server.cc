@@ -15,6 +15,13 @@ namespace qfcard::serve {
 
 namespace {
 
+// When QFCARD_TRACE is on, Start() arms the global TraceBuffer's
+// tail-sampling keep-policy with this latency threshold: any request whose
+// full latency (its serve.request root span) meets it — or that errored —
+// has its whole span tree protected from ring eviction
+// (docs/observability.md).
+constexpr double kTraceTailThresholdSeconds = 0.010;
+
 void CountServerRejected(const char* reason) {
   obs::IncrementCounter("serve.route.rejected",
                         std::string("reason=") + reason);
@@ -99,10 +106,10 @@ void EstimationServer::Start() {
   }
   // Arm tail sampling: keep the span trees of slow/errored requests out of
   // the ring's eviction path (docs/observability.md).
-  if (obs::TraceEnabled() && opts_.trace_tail_threshold_seconds > 0.0) {
+  if (obs::TraceEnabled()) {
     obs::TailSamplingOptions tail;
     tail.enabled = true;
-    tail.latency_threshold_seconds = opts_.trace_tail_threshold_seconds;
+    tail.latency_threshold_seconds = kTraceTailThresholdSeconds;
     obs::TraceBuffer::Global().SetTailSampling(tail);
   }
   // Serving begins: return the heap memory that set-up freed (generated

@@ -28,12 +28,6 @@ struct EstimationServerOptions {
   /// Dispatcher threads executing flushed batches. 0 is a test hook: nothing
   /// flushes until Stop() drains synchronously.
   int num_workers = 2;
-  /// When QFCARD_TRACE is on, Start() arms the global TraceBuffer's
-  /// tail-sampling keep-policy with this latency threshold: any request
-  /// whose full latency (its serve.request root span) meets it — or that
-  /// errored — has its whole span tree protected from ring eviction
-  /// (docs/observability.md). <= 0 leaves tail sampling alone.
-  double trace_tail_threshold_seconds = 0.010;
 };
 
 /// Long-lived estimation front end (docs/serving.md): many client threads

@@ -19,11 +19,7 @@ void ExportVersionGauge(uint64_t version) {
 
 ServingEstimator::ServingEstimator(
     std::shared_ptr<const est::CardinalityEstimator> initial, uint64_t version)
-    : active_(std::move(initial)), version_(version) {
-  {
-    common::MutexLock lock(&mu_);
-    swaps_ = 1;
-  }
+    : active_(std::move(initial)), version_(version), swaps_(1) {
   obs::IncrementCounter("serve.swaps");
   ExportVersionGauge(version);
 }
@@ -38,14 +34,16 @@ common::StatusOr<std::vector<est::EstimateResponse>>
 ServingEstimator::EstimateRequests(
     const std::vector<est::EstimateRequest>& requests) const {
   obs::ScopedTimer timer;
-  // Version label read before the model pin: after a concurrent Swap the
-  // response may pair the new model with the old label (harmless,
-  // observability-only) but never the reverse — mirroring the gauge's
-  // ordering contract (docs/serving.md).
-  const uint64_t version = version_.load(std::memory_order_relaxed);
-  // One pin holds one fully-published model for the whole batch; a
-  // concurrent Swap can never tear the batch across two models.
-  const std::shared_ptr<const est::CardinalityEstimator> model = Active();
+  // One pin holds one fully-published model for the whole batch, read with
+  // its version in one hold: a concurrent Swap can neither tear the batch
+  // across two models nor label it with the other model's version.
+  std::shared_ptr<const est::CardinalityEstimator> model;
+  uint64_t version = 0;
+  {
+    common::MutexLock lock(&active_mu_);
+    model = active_;
+    version = version_;
+  }
   // Delegate to the model's request path (not EstimateBatch directly) so
   // inner-stamped provenance — the adaptive front's tier/tier_reason —
   // reaches the client. The default implementation forwards the extracted
@@ -88,20 +86,14 @@ size_t ServingEstimator::SizeBytes() const {
 
 void ServingEstimator::Swap(
     std::shared_ptr<const est::CardinalityEstimator> next, uint64_t version) {
-  // version_ first: a reader pairing the new model with the old version
-  // label is harmless (the label is observability-only), the reverse order
-  // would briefly label the old model with the new version on the gauge.
-  version_.store(version, std::memory_order_relaxed);
   {
     common::MutexLock lock(&active_mu_);
     active_.swap(next);
+    version_ = version;
+    ++swaps_;
   }
   // `next` now holds the replaced model: it is destroyed outside the lock,
   // here or when its last in-flight pin drops.
-  {
-    common::MutexLock lock(&mu_);
-    ++swaps_;
-  }
   obs::IncrementCounter("serve.swaps");
   ExportVersionGauge(version);
 }
@@ -113,11 +105,12 @@ std::shared_ptr<const est::CardinalityEstimator> ServingEstimator::Active()
 }
 
 uint64_t ServingEstimator::ActiveVersion() const {
-  return version_.load(std::memory_order_relaxed);
+  common::MutexLock lock(&active_mu_);
+  return version_;
 }
 
 uint64_t ServingEstimator::SwapCount() const {
-  common::MutexLock lock(&mu_);
+  common::MutexLock lock(&active_mu_);
   return swaps_;
 }
 

@@ -1,7 +1,6 @@
 #ifndef QFCARD_SERVE_SERVING_ESTIMATOR_H_
 #define QFCARD_SERVE_SERVING_ESTIMATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,9 +26,11 @@ namespace qfcard::serve {
 /// finishes. Models must be const-thread-safe (the repo-wide estimator
 /// contract).
 ///
-/// Control-plane state (swap count) is mu_-guarded per the static-analysis
-/// policy; the data plane never takes mu_. Exports serve.swaps (counter) and
-/// serve.active_version (gauge) via obs::MetricsRegistry.
+/// The model's version label and the swap count live under the same lock
+/// and change in the same hold as the pointer, so a response's
+/// model_version always names the model that computed it. Exports
+/// serve.swaps (counter) and serve.active_version (gauge) via
+/// obs::MetricsRegistry.
 class ServingEstimator : public est::CardinalityEstimator {
  public:
   /// Starts serving `initial` as `version`. The initial publication counts
@@ -80,10 +81,8 @@ class ServingEstimator : public est::CardinalityEstimator {
   mutable common::Mutex active_mu_;
   std::shared_ptr<const est::CardinalityEstimator> active_
       QFCARD_GUARDED_BY(active_mu_);
-  std::atomic<uint64_t> version_;
-
-  mutable common::Mutex mu_;
-  uint64_t swaps_ QFCARD_GUARDED_BY(mu_) = 0;
+  uint64_t version_ QFCARD_GUARDED_BY(active_mu_);
+  uint64_t swaps_ QFCARD_GUARDED_BY(active_mu_);
 };
 
 }  // namespace qfcard::serve

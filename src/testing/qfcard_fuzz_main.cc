@@ -15,8 +15,6 @@
 #include <fstream>
 #include <string>
 
-#include "adapt/adapt_fuzz.h"
-#include "serve/bundle_fuzz.h"
 #include "testing/query_fuzzer.h"
 
 namespace {
@@ -31,8 +29,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  qfcard::serve::RegisterLoaderFuzzRound();
-  qfcard::adapt::RegisterAdaptiveFuzzRound();
   qfcard::testing::FuzzOptions options;
   std::string artifact;
   if (const char* env = std::getenv("QFCARD_FUZZ_ARTIFACT")) artifact = env;

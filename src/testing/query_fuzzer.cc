@@ -63,9 +63,9 @@ class Fuzzer {
       if (join_round) {
         ImdbRound(r);
       } else if (loader_round) {
-        LoaderRound(r);
+        LoaderFuzzRound(FuzzRoundContext{&opts_, r, &report_});
       } else if (adaptive_round) {
-        AdaptiveRound(r);
+        AdaptiveFuzzRound(FuzzRoundContext{&opts_, r, &report_});
       } else if (family_round) {
         FamilyRound(r);
       } else {
@@ -91,13 +91,7 @@ class Fuzzer {
 
   void RecordPlainFailure(const std::string& check, const std::string& detail,
                           int round) {
-    obs::IncrementCounter("fuzz.failures", "check=" + check);
-    report_.failures.push_back(FuzzFailure{
-        check, detail, round,
-        common::StrFormat("replay: qfcard_fuzz --seed=%llu --round=%d "
-                          "--rounds=1\n",
-                          static_cast<unsigned long long>(opts_.seed),
-                          round)});
+    FuzzRoundContext{&opts_, round, &report_}.RecordFailure(check, detail);
   }
 
   bool Full() const {
@@ -424,54 +418,6 @@ class Fuzzer {
     }
   }
 
-  // Loader fuzzing lives in serve/bundle_fuzz.cc: serve/ is above testing/
-  // in the layer order (tools/layers.json), so the fuzzer cannot include it
-  // — the round registers itself through SetLoaderRound instead. When no
-  // loader round is registered (a binary that links the fuzzer but not
-  // serve/), the round falls back to the forest differential so round
-  // numbering — and every later round's RNG stream — is unchanged.
-  void LoaderRound(int round) {
-    const FuzzRoundFn& fn = GetLoaderRound();
-    if (!fn) {
-      ForestRound(round);
-      return;
-    }
-    FuzzRoundContext ctx;
-    ctx.options = &opts_;
-    ctx.round = round;
-    ctx.record_failure = [this, round](const std::string& check,
-                                       const std::string& detail) {
-      RecordPlainFailure(check, detail, round);
-    };
-    ctx.count_check = [this] { ++report_.checks; };
-    ctx.count_query = [this] { ++report_.queries; };
-    ctx.full = [this] { return Full(); };
-    fn(ctx);
-  }
-
-  // The adapt/ online-adaptation round uses the same extension slot shape
-  // as the loader round (adapt/ is above testing/ in the layer order, so it
-  // registers itself through SetAdaptiveRound); unregistered, it falls back
-  // to the forest differential to keep round numbering stable.
-  void AdaptiveRound(int round) {
-    const FuzzRoundFn& fn = GetAdaptiveRound();
-    if (!fn) {
-      ForestRound(round);
-      return;
-    }
-    FuzzRoundContext ctx;
-    ctx.options = &opts_;
-    ctx.round = round;
-    ctx.record_failure = [this, round](const std::string& check,
-                                       const std::string& detail) {
-      RecordPlainFailure(check, detail, round);
-    };
-    ctx.count_check = [this] { ++report_.checks; };
-    ctx.count_query = [this] { ++report_.queries; };
-    ctx.full = [this] { return Full(); };
-    fn(ctx);
-  }
-
   // Family rounds cross-check the registered workload families — the same
   // generators the benchmark matrix (eval/matrix.h) sweeps. Each round
   // builds one family at tiny sizes and runs every labeled query through
@@ -618,31 +564,20 @@ class Fuzzer {
 
 }  // namespace
 
-namespace {
-
-FuzzRoundFn& LoaderRoundSlot() {
-  static FuzzRoundFn* slot = new FuzzRoundFn();  // leaked: outlives static dtors
-  return *slot;
+void FuzzRoundContext::RecordFailure(const std::string& check,
+                                     const std::string& detail) const {
+  obs::IncrementCounter("fuzz.failures", "check=" + check);
+  report->failures.push_back(FuzzFailure{
+      check, detail, round,
+      common::StrFormat("replay: qfcard_fuzz --seed=%llu --round=%d "
+                        "--rounds=1\n",
+                        static_cast<unsigned long long>(options->seed),
+                        round)});
 }
 
-}  // namespace
-
-void SetLoaderRound(FuzzRoundFn fn) { LoaderRoundSlot() = std::move(fn); }
-
-const FuzzRoundFn& GetLoaderRound() { return LoaderRoundSlot(); }
-
-namespace {
-
-FuzzRoundFn& AdaptiveRoundSlot() {
-  static FuzzRoundFn* slot = new FuzzRoundFn();  // leaked: outlives static dtors
-  return *slot;
+bool FuzzRoundContext::Full() const {
+  return static_cast<int>(report->failures.size()) >= options->max_failures;
 }
-
-}  // namespace
-
-void SetAdaptiveRound(FuzzRoundFn fn) { AdaptiveRoundSlot() = std::move(fn); }
-
-const FuzzRoundFn& GetAdaptiveRound() { return AdaptiveRoundSlot(); }
 
 std::string FuzzReport::Summary() const {
   std::ostringstream out;

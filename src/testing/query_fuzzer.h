@@ -2,7 +2,6 @@
 #define QFCARD_TESTING_QUERY_FUZZER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,8 +60,7 @@ struct FuzzOptions {
   /// publishing into a live adapt::AdaptiveEstimator — the truths must be
   /// identical (adaptation may never change what the executor computes) —
   /// and two identically-fed fronts must produce byte-identical estimates
-  /// (learner determinism). Registered via adapt::RegisterAdaptiveFuzzRound
-  /// (src/adapt/adapt_fuzz.h); falls back to a forest round when absent.
+  /// (learner determinism).
   int adaptive_round_every = 11;
   /// Every family_round_every-th round (join/loader/adaptive rounds take
   /// precedence)
@@ -105,52 +103,26 @@ struct FuzzReport {
 
 FuzzReport RunFuzzer(const FuzzOptions& options);
 
-/// Extension hook for rounds implemented above testing/ in the layer order
-/// (tools/layers.json): the serve/ loader round lives in
-/// serve/bundle_fuzz.cc and registers itself here instead of the fuzzer
-/// including serve/ headers (which would be an upward edge). The callback
-/// runs one full round, reporting through this context; the fuzzer owns
-/// all bookkeeping so registered rounds shrink/replay like built-in ones.
+/// The fuzzer's state as seen by a round implemented in its own file
+/// (LoaderFuzzRound, AdaptiveFuzzRound): the options, the round index for
+/// replay lines and the running report, whose checks and queries counts the
+/// round bumps itself. Failures recorded here replay like built-in ones.
 struct FuzzRoundContext {
   const FuzzOptions* options = nullptr;
   int round = 0;
+  FuzzReport* report = nullptr;
+
   /// Records one failure with the standard replay line for `round`.
-  std::function<void(const std::string& check, const std::string& detail)>
-      record_failure;
-  /// Counts one comparison toward FuzzReport::checks.
-  std::function<void()> count_check;
-  /// Counts one fuzzed query toward FuzzReport::queries — call it once per
-  /// query that went through the round's per-query checks, so extension
-  /// rounds contribute to the smoke test's query budget like built-in ones.
-  std::function<void()> count_query;
+  void RecordFailure(const std::string& check,
+                     const std::string& detail) const;
   /// True when the failure budget is exhausted; rounds should return early.
-  std::function<bool()> full;
+  bool Full() const;
 };
 
-using FuzzRoundFn = std::function<void(const FuzzRoundContext&)>;
-
-/// Installs (or, with an empty function, removes) the loader-round
-/// implementation. When none is registered, loader rounds run the forest
-/// differential round instead so round numbering — and therefore every
-/// other round's RNG stream — is unchanged. Entry points that want loader
-/// coverage call serve::RegisterLoaderFuzzRound() before RunFuzzer; see
-/// src/serve/bundle_fuzz.h. Not thread-safe against a concurrent RunFuzzer.
-void SetLoaderRound(FuzzRoundFn fn);
-
-/// The currently registered loader round (empty when none).
-const FuzzRoundFn& GetLoaderRound();
-
-/// Same extension slot for the adapt/ online-adaptation round: the round
-/// lives in src/adapt/adapt_fuzz.cc (adapt/ is above testing/ in the layer
-/// order) and asserts that running the execution-feedback loop never
-/// changes executor truth and that identically-fed learners are
-/// byte-deterministic. Entry points call adapt::RegisterAdaptiveFuzzRound()
-/// before RunFuzzer; unregistered adaptive rounds run forest rounds so the
-/// RNG stream of other rounds is unchanged.
-void SetAdaptiveRound(FuzzRoundFn fn);
-
-/// The currently registered adaptive round (empty when none).
-const FuzzRoundFn& GetAdaptiveRound();
+/// The rounds FuzzOptions::loader_round_every and adaptive_round_every
+/// select (testing/bundle_fuzz.cc, testing/adapt_fuzz.cc).
+void LoaderFuzzRound(const FuzzRoundContext& ctx);
+void AdaptiveFuzzRound(const FuzzRoundContext& ctx);
 
 }  // namespace qfcard::testing
 

@@ -7,7 +7,9 @@ discarded Status, an unregistered metric, a dead catalog entry, and a
 required-but-uncatalogued series — plus the suppression-contract cases:
 a justified suppression per rule (must silence exactly that rule), one
 reasonless suppression (itself a finding), and one suppression naming the
-wrong rule (must not silence).
+wrong rule (must not silence) — and a `files` layer pin (common/pool.*
+above storage) that must win over common's `dirs` match while its sibling
+common/sibling.cc is still flagged.
 
 Source-file expectations are `// expect: <rule>` markers on the finding
 line; the two schema-side findings are asserted explicitly because
@@ -94,6 +96,19 @@ class AnalyzeSelfTest(unittest.TestCase):
         self.assertEqual(rules, {"layer", "include-cycle", "guarded-by",
                                  "lock-order", "error-policy",
                                  "discarded-status", "telemetry"})
+
+    def test_files_entry_wins_over_dirs(self):
+        # common/pool.{h,cc} are pinned by `files` to the pool layer above
+        # storage, so pool.cc may include storage/store.h; their sibling
+        # common/sibling.cc is mapped by `dirs` and stays in common.
+        layer = [(f, m) for f, _, r, m in self.findings if r == "layer"]
+        self.assertFalse(any(f.startswith("common/pool.") for f, _ in layer),
+                         self.proc.stdout)
+        sibling = sorted(m for f, m in layer if f == "common/sibling.cc")
+        self.assertEqual(len(sibling), 2, self.proc.stdout)
+        self.assertIn("'common/pool.h' (layer pool)", sibling[0])
+        self.assertIn("'storage/store.h' (layer storage)", sibling[1])
+        self.assertTrue(all("(layer common)" in m for m in sibling))
 
     def test_justified_suppressions_silence_exactly_their_rule(self):
         out = self.proc.stdout

@@ -12,27 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "adapt/adapt_fuzz.h"
 #include "estimators/registry.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
-#include "serve/bundle_fuzz.h"
 #include "storage/catalog.h"
 #include "test_util.h"
 #include "testing/shrink.h"
 
 namespace qfcard::testing {
 namespace {
-
-// The loader and adaptive rounds live above testing/ in the layer order, so
-// fuzz binaries opt in explicitly (serve/bundle_fuzz.h,
-// adapt/adapt_fuzz.h). Without this the fuzzer would silently substitute
-// forest rounds and those checks would never run.
-const bool kExtensionRoundsInstalled = [] {
-  serve::RegisterLoaderFuzzRound();
-  adapt::RegisterAdaptiveFuzzRound();
-  return true;
-}();
 
 void WriteArtifactOnFailure(const FuzzReport& report) {
   if (report.ok()) return;

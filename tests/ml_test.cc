@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -136,6 +137,12 @@ TEST(DatasetTest, LabelRoundTrip) {
   // Estimates clamp to >= 1 (paper convention).
   EXPECT_DOUBLE_EQ(LabelToCard(-5.0f), 1.0);
   EXPECT_FLOAT_EQ(CardToLabel(0.0), 0.0f);
+}
+
+TEST(DatasetTest, NanLabelMapsToOne) {
+  // A damaged model can predict NaN; the estimate must still be >= 1.
+  EXPECT_EQ(LabelToCard(std::nanf("")), 1.0);
+  EXPECT_EQ(LabelToCard(-std::numeric_limits<float>::quiet_NaN()), 1.0);
 }
 
 TEST(MetricsTest, QErrorProperties) {

@@ -270,6 +270,60 @@ TEST_F(RaceStressTest, HotSwapUnderConcurrentEstimateBatch) {
   EXPECT_EQ(serving.SwapCount(), static_cast<uint64_t>(kSwaps + 1));
 }
 
+// Answers every query with one constant, so a response's estimate names
+// the model that computed it.
+class ConstantEstimator : public est::CardinalityEstimator {
+ public:
+  explicit ConstantEstimator(double value) : value_(value) {}
+  common::StatusOr<double> EstimateCard(const query::Query&) const override {
+    return value_;
+  }
+  std::string name() const override { return "constant"; }
+
+ private:
+  const double value_;
+};
+
+TEST_F(RaceStressTest, VersionLabelMatchesTheModelThatAnswered) {
+  // Odd versions serve model_a (10), even versions model_b (20): every
+  // response's estimate must match its model_version. A version read apart
+  // from the model pin would pair one model's estimate with the other's
+  // label whenever a Swap lands in between.
+  const auto model_a = std::make_shared<const ConstantEstimator>(10.0);
+  const auto model_b = std::make_shared<const ConstantEstimator>(20.0);
+  serve::ServingEstimator serving(model_a, /*version=*/1);
+  std::vector<est::EstimateRequest> requests(4);
+  for (est::EstimateRequest& request : requests) {
+    request.query = testutil::SingleTableQuery("stress");
+  }
+  constexpr int kSwaps = 20000;
+  std::atomic<bool> done{false};
+  RunConcurrently([&](int t) {
+    if (t == 0) {
+      for (int i = 0; i < kSwaps; ++i) {
+        const auto version = static_cast<uint64_t>(2 + i);
+        serving.Swap(version % 2 == 0 ? model_b : model_a, version);
+      }
+      done.store(true, std::memory_order_release);
+      return;
+    }
+    int calls = 0;
+    while (!done.load(std::memory_order_acquire) || calls < 3) {
+      auto result = serving.EstimateRequests(requests);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const est::EstimateResponse& response : result.value()) {
+        ASSERT_EQ(response.estimate,
+                  response.model_version % 2 == 0 ? 20.0 : 10.0)
+            << "call " << calls << " on thread " << t << " labeled version "
+            << response.model_version;
+      }
+      ++calls;
+    }
+  });
+  EXPECT_EQ(serving.ActiveVersion(), static_cast<uint64_t>(kSwaps + 1));
+  EXPECT_EQ(serving.SwapCount(), static_cast<uint64_t>(kSwaps + 1));
+}
+
 TEST_F(RaceStressTest, ServerHotSwapUnderConcurrentClientTraffic) {
   const storage::Catalog catalog = StressCatalog();
   // One fixed shape, so every client hits the same route and every

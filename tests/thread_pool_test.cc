@@ -204,7 +204,7 @@ TEST(ThreadPoolTest, SetGlobalThreadsRebuildsPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-context handoff (common::PoolTraceBridge, installed by obs/trace.cc)
+// Trace-context handoff (obs::ScopedTraceContext around each claim loop)
 // ---------------------------------------------------------------------------
 
 class PoolTraceTest : public ::testing::Test {

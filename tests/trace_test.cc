@@ -353,7 +353,6 @@ TEST_F(TraceTest, TailSamplingKeepsErroredTracesRegardlessOfLatency) {
   TailSamplingOptions tail;
   tail.enabled = true;
   tail.latency_threshold_seconds = 1e9;
-  tail.keep_errors = true;
   buffer.SetTailSampling(tail);
   const uint64_t errored = RecordRequestTrace(/*error=*/true);
   EXPECT_EQ(buffer.TailSampledTraces(), 1u);

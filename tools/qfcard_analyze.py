@@ -8,10 +8,12 @@ telemetry catalog. Four passes over src/:
 
 layer            The `#include` graph over src/ must be acyclic and respect
                  the layer order declared in tools/layers.json (common ->
-                 obs -> storage -> query -> featurize -> ml -> optimizer ->
-                 estimators -> workload -> eval/testing -> serve -> api).
-                 Rules: `layer` (upward edge / unmapped file) and
-                 `include-cycle`.
+                 obs -> pool -> storage -> query -> featurize -> ml ->
+                 optimizer -> estimators -> workload -> eval -> serve ->
+                 adapt -> testing -> api). A layer's `files` entries win
+                 over another layer's `dirs`, so common/thread_pool.* sit in
+                 pool while the rest of common/ stays at the bottom. Rules:
+                 `layer` (upward edge / unmapped file) and `include-cycle`.
 guarded-by       Every class that owns a common::Mutex must annotate its
                  mutable data members with QFCARD_GUARDED_BY /
                  QFCARD_PT_GUARDED_BY (atomics, consts, mutexes, and
@@ -229,10 +231,14 @@ class Analyzer:
     # -- pass 1: layering ---------------------------------------------------
 
     def layer_index(self, rel: str) -> Optional[int]:
-        for i, layer in enumerate(self.config["layers"]):
+        # A 'files' entry wins over a 'dirs' match, so one file can sit in a
+        # higher layer than its directory (common/thread_pool.* above obs).
+        layers = self.config["layers"]
+        for i, layer in enumerate(layers):
             if rel in layer.get("files", []):
                 return i
-            top = rel.split("/", 1)[0]
+        top = rel.split("/", 1)[0]
+        for i, layer in enumerate(layers):
             if "/" in rel and top in layer.get("dirs", []):
                 return i
         return None
