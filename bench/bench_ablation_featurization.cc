@@ -1,8 +1,8 @@
 // Ablations beyond the paper's tables, probing the design choices of
 // Universal Conjunction Encoding called out in DESIGN.md:
-//   1. partitioning: the paper's equi-width scheme vs an equi-depth
-//      (quantile) partitioner (Section 3.2 mentions histogram-style
-//      partitioning as an extension);
+//   1. partitioning: the paper's equi-width scheme vs equi-depth
+//      (quantile) and v-optimal boundaries (Section 3.2 mentions
+//      histogram-style partitioning as an extension);
 //   2. the 1/2 value for partially qualifying partitions vs rounding up to 1;
 //   3. the exact small-domain 0/1 mode on vs off.
 // Model: GB; workload: forest conjunctive.
@@ -38,16 +38,14 @@ void Run() {
 
   {
     featurize::ConjunctionOptions opts = DefaultConjOptions();
-    opts.partitioner = std::make_shared<featurize::EquiDepthPartitioner>(
-        featurize::EquiDepthPartitioner::FromTable(*bundle.forest,
-                                                   opts.max_partitions));
+    opts.partitioner = std::make_shared<const featurize::Partitioner>(
+        featurize::Partitioner::EquiDepth(*bundle.forest, opts.max_partitions));
     run("equi-depth partitioner", opts);
   }
   {
     featurize::ConjunctionOptions opts = DefaultConjOptions();
-    opts.partitioner = std::make_shared<featurize::VOptimalPartitioner>(
-        featurize::VOptimalPartitioner::FromTable(*bundle.forest,
-                                                  opts.max_partitions));
+    opts.partitioner = std::make_shared<const featurize::Partitioner>(
+        featurize::Partitioner::VOptimal(*bundle.forest, opts.max_partitions));
     run("v-optimal partitioner", opts);
   }
   {

@@ -163,12 +163,12 @@ query::Query FamilyQuery(int family, const std::string& table,
 }
 
 std::shared_ptr<serve::ServingEstimator> PostgresServing(
-    const storage::Catalog& catalog, uint64_t version) {
+    const storage::Catalog& catalog) {
   auto built =
       est::MakeEstimator("postgres", catalog, est::EstimatorOptions{}).value();
   return std::make_shared<serve::ServingEstimator>(
       std::shared_ptr<const est::CardinalityEstimator>(std::move(built)),
-      version);
+      /*version=*/1);
 }
 
 }  // namespace
@@ -198,23 +198,21 @@ int main(int argc, char** argv) {
 
   serve::ModelRouterOptions ropts;
   ropts.policy = opts.mode;
-  // Bumped by the route factory on client threads and by the hot swap on
-  // this one.
-  std::atomic<uint64_t> next_version{1};
+  // Every route's first model is v1; a hot swap publishes the route's
+  // active version + 1, so versions never depend on traffic order.
   if (opts.mode == serve::RoutePolicy::kIntelligent) {
     // First sight of a shape serves a statistics-based model instantly; a
     // trained model can be hot-swapped in behind the same route id later.
-    ropts.factory = [&catalog, &next_version](uint64_t, const query::Query&)
+    ropts.factory = [&catalog](uint64_t, const query::Query&)
         -> common::StatusOr<std::shared_ptr<serve::ServingEstimator>> {
-      return PostgresServing(catalog, next_version++);
+      return PostgresServing(catalog);
     };
   }
   serve::ModelRouter router(ropts);
   if (opts.mode == serve::RoutePolicy::kForced) {
-    router.SetDefaultRoute(PostgresServing(catalog, next_version++));
+    router.SetDefaultRoute(PostgresServing(catalog));
   } else if (opts.mode == serve::RoutePolicy::kControlled) {
-    QFCARD_CHECK_OK(router.AddRoute(range_fss,
-                                    PostgresServing(catalog, next_version++),
+    QFCARD_CHECK_OK(router.AddRoute(range_fss, PostgresServing(catalog),
                                     serve::FeatureSpaceSignature(range_probe)));
   }
 
@@ -282,7 +280,7 @@ int main(int argc, char** argv) {
     while ((route = router.FindRoute(range_fss)) == nullptr) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    const uint64_t gb_version = next_version.fetch_add(1);
+    const uint64_t gb_version = route->ActiveVersion() + 1;
     route->Swap(
         std::shared_ptr<const est::CardinalityEstimator>(std::move(gb)),
         gb_version);

@@ -3,16 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace qfcard::featurize {
 
-namespace internal {
+namespace {
 
+// Encodes one conjunctive clause over `attr` into out[0 .. layout.n),
+// following Algorithm 1 for a single attribute, and stores the
+// per-attribute uniformity selectivity estimate (Algorithm 1's gray lines)
+// into `*selectivity` unless it is null.
 common::Status EncodeClauseForAttr(const AttributeInfo& attr,
-                                   const Partitioner& partitioner,
-                                   const ConjunctionOptions& opts, int budget,
+                                   const PartitionLayout& layout,
+                                   const ConjunctionOptions& opts,
                                    const query::ConjunctiveClause& clause,
-                                   float* out, int n_a, double* selectivity) {
+                                   float* out, double* selectivity) {
+  const int n_a = layout.n;
   std::fill(out, out + n_a, 1.0f);
   const float half = opts.use_half_values ? 0.5f : 1.0f;
   // Exact mode: every partition is a single integral value, so entries can
@@ -28,7 +34,11 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
   std::set<double> nots;
 
   for (const query::SimplePredicate& p : clause.preds) {
-    const int idx = partitioner.IndexOf(attr, budget, p.value);
+    if (std::isnan(p.value)) {
+      return common::Status::InvalidArgument(
+          "partition-based encodings reject a NaN literal");
+    }
+    const int idx = layout.IndexOf(attr, p.value);
     const bool in_domain = p.value >= attr.min && p.value <= attr.max;
     if (!exact) {
       // Line 5: the partition containing the literal partially qualifies.
@@ -101,17 +111,48 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
   return common::Status::Ok();
 }
 
+}  // namespace
+
+namespace internal {
+
+common::Status EncodeCompoundForAttr(const AttributeInfo& attr,
+                                     const PartitionLayout& layout,
+                                     const ConjunctionOptions& opts,
+                                     const query::CompoundPredicate& cp,
+                                     float* out) {
+  const int n_a = layout.n;
+  // Algorithm 2: V starts all-zero (line 3) and merges each clause by
+  // entrywise max (line 6). The first clause is written straight into
+  // `out`; only later clauses need scratch.
+  if (cp.disjuncts.empty()) std::fill(out, out + n_a, 0.0f);
+  double merged_sel = 0.0;
+  std::vector<float> scratch;
+  for (size_t k = 0; k < cp.disjuncts.size(); ++k) {
+    if (k == 1) scratch.resize(static_cast<size_t>(n_a));
+    float* dst = k == 0 ? out : scratch.data();
+    double sel = 1.0;
+    QFCARD_RETURN_IF_ERROR(EncodeClauseForAttr(
+        attr, layout, opts, cp.disjuncts[k], dst,
+        opts.append_attr_selectivity ? &sel : nullptr));
+    if (k > 0) {
+      for (int i = 0; i < n_a; ++i) out[i] = std::max(out[i], scratch[i]);
+    }
+    merged_sel = std::max(merged_sel, sel);
+  }
+  if (opts.append_attr_selectivity) out[n_a] = static_cast<float>(merged_sel);
+  return common::Status::Ok();
+}
+
 }  // namespace internal
 
 ConjunctionEncoding::ConjunctionEncoding(FeatureSchema schema,
-                                         ConjunctionOptions opts)
-    : schema_(std::move(schema)), opts_(opts) {
-  const Partitioner& part =
-      opts_.partitioner != nullptr ? *opts_.partitioner
-                                   : EquiWidthPartitioner::Get();
+                                         ConjunctionOptions opts,
+                                         bool allow_disjunctions)
+    : schema_(std::move(schema)),
+      opts_(std::move(opts)),
+      allow_disjunctions_(allow_disjunctions) {
   offsets_.reserve(static_cast<size_t>(schema_.num_attributes()));
-  n_a_.reserve(static_cast<size_t>(schema_.num_attributes()));
-  budgets_.reserve(static_cast<size_t>(schema_.num_attributes()));
+  layouts_.reserve(static_cast<size_t>(schema_.num_attributes()));
   const bool per_attr =
       static_cast<int>(opts_.per_attribute_partitions.size()) ==
       schema_.num_attributes();
@@ -120,20 +161,16 @@ ConjunctionEncoding::ConjunctionEncoding(FeatureSchema schema,
     const int budget = per_attr
                            ? opts_.per_attribute_partitions[static_cast<size_t>(a)]
                            : opts_.max_partitions;
-    const int n_a = part.NumPartitions(schema_.attr(a), budget);
+    layouts_.push_back(Partitioner::Layout(opts_.partitioner.get(),
+                                           schema_.attr(a), budget));
     offsets_.push_back(offset);
-    n_a_.push_back(n_a);
-    budgets_.push_back(budget);
-    offset += n_a + (opts_.append_attr_selectivity ? 1 : 0);
+    offset += layouts_.back().n + (opts_.append_attr_selectivity ? 1 : 0);
   }
   dim_ = offset;
 }
 
 common::Status ConjunctionEncoding::FeaturizeInto(const query::Query& q,
                                                   float* out) const {
-  const Partitioner& part =
-      opts_.partitioner != nullptr ? *opts_.partitioner
-                                   : EquiWidthPartitioner::Get();
   // Line 1: attributes start all-one (no predicate -> full domain
   // qualifies); the selectivity appendix starts at 1.
   for (int a = 0; a < schema_.num_attributes(); ++a) {
@@ -143,20 +180,15 @@ common::Status ConjunctionEncoding::FeaturizeInto(const query::Query& q,
   }
   for (const query::CompoundPredicate& cp : q.predicates) {
     QFCARD_RETURN_IF_ERROR(schema_.CheckAttr(cp.col.column));
-    if (cp.disjuncts.size() != 1) {
+    if (!allow_disjunctions_ && cp.disjuncts.size() != 1) {
       return common::Status::InvalidArgument(
           "Universal Conjunction Encoding does not support disjunctions; "
           "use Limited Disjunction Encoding");
     }
     const int a = cp.col.column;
-    float* block = out + AttrOffset(a);
-    double sel = 1.0;
-    QFCARD_RETURN_IF_ERROR(internal::EncodeClauseForAttr(
-        schema_.attr(a), part, opts_, AttrBudget(a), cp.disjuncts[0], block,
-        AttrEntries(a), opts_.append_attr_selectivity ? &sel : nullptr));
-    if (opts_.append_attr_selectivity) {
-      block[AttrEntries(a)] = static_cast<float>(sel);
-    }
+    QFCARD_RETURN_IF_ERROR(internal::EncodeCompoundForAttr(
+        schema_.attr(a), layouts_[static_cast<size_t>(a)], opts_, cp,
+        out + AttrOffset(a)));
   }
   return common::Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define QFCARD_FEATURIZE_CONJUNCTION_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "featurize/feature_schema.h"
@@ -31,9 +32,10 @@ struct ConjunctionOptions {
   /// Disabling this (ablation) rounds partial partitions up to 1.
   bool use_half_values = true;
 
-  /// Partitioning strategy; nullptr selects the paper's equi-width
-  /// partitioner. Shared: every featurizer built from these options
-  /// co-owns it, so it lives as long as the longest-lived one.
+  /// Partition boundaries; nullptr, like a partitioner without
+  /// boundaries, selects the paper's equi-width partitioning. Shared: every
+  /// featurizer built from these options co-owns it, so it lives as long as
+  /// the longest-lived one.
   std::shared_ptr<const Partitioner> partitioner;
 
   /// Optional attribute-specific partition budgets (Section 3.2: "it is
@@ -52,7 +54,9 @@ struct ConjunctionOptions {
 /// Disjunctions are rejected (use DisjunctionEncoding).
 class ConjunctionEncoding : public Featurizer {
  public:
-  ConjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts = {});
+  ConjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts = {})
+      : ConjunctionEncoding(std::move(schema), std::move(opts),
+                            /*allow_disjunctions=*/false) {}
 
   int dim() const override { return dim_; }
   std::string name() const override { return "conjunctive"; }
@@ -63,37 +67,40 @@ class ConjunctionEncoding : public Featurizer {
   int AttrOffset(int a) const { return offsets_[static_cast<size_t>(a)]; }
   /// Number of partition entries n_A of attribute `a` (excluding the
   /// optional selectivity entry).
-  int AttrEntries(int a) const { return n_a_[static_cast<size_t>(a)]; }
+  int AttrEntries(int a) const { return layouts_[static_cast<size_t>(a)].n; }
 
   const ConjunctionOptions& options() const { return opts_; }
   const FeatureSchema& schema() const { return schema_; }
 
-  /// Partition budget of attribute `a` (max_partitions or the per-attribute
-  /// override).
-  int AttrBudget(int a) const { return budgets_[static_cast<size_t>(a)]; }
+ protected:
+  /// Resolves every attribute's partition layout once. `allow_disjunctions`
+  /// admits compound predicates with several clauses (Algorithm 2).
+  ConjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts,
+                      bool allow_disjunctions);
 
  private:
   FeatureSchema schema_;
   ConjunctionOptions opts_;
   std::vector<int> offsets_;
-  std::vector<int> n_a_;
-  std::vector<int> budgets_;
+  std::vector<PartitionLayout> layouts_;  // point into *opts_.partitioner
   int dim_ = 0;
+  bool allow_disjunctions_ = false;
 };
 
 namespace internal {
 
-/// Encodes one conjunctive clause over `attr` into out[0 .. n_a), following
-/// Algorithm 1 for a single attribute, and stores the per-attribute
-/// uniformity selectivity estimate (Algorithm 1's gray lines) into
-/// `*selectivity`. `budget` is the partition budget used to derive n_a
-/// (n_a == partitioner.NumPartitions(attr, budget)). Shared by
+/// Algorithm 2 for one attribute: encodes each clause of `cp` with
+/// Algorithm 1 restricted to `attr` and merges them by entrywise maximum
+/// into out[0 .. layout.n); with opts.append_attr_selectivity,
+/// out[layout.n] receives the maximum clause selectivity (Algorithm 1's
+/// gray lines). A predicate without clauses encodes as all-zero; a NaN
+/// literal is rejected with kInvalidArgument. Shared by
 /// ConjunctionEncoding, DisjunctionEncoding and the MSCN featurizer.
-common::Status EncodeClauseForAttr(const AttributeInfo& attr,
-                                   const Partitioner& partitioner,
-                                   const ConjunctionOptions& opts, int budget,
-                                   const query::ConjunctiveClause& clause,
-                                   float* out, int n_a, double* selectivity);
+common::Status EncodeCompoundForAttr(const AttributeInfo& attr,
+                                     const PartitionLayout& layout,
+                                     const ConjunctionOptions& opts,
+                                     const query::CompoundPredicate& cp,
+                                     float* out);
 
 }  // namespace internal
 

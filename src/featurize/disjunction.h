@@ -13,27 +13,16 @@ namespace qfcard::featurize {
 /// Each clause of a compound predicate is featurized with Universal
 /// Conjunction Encoding restricted to its attribute; the per-clause vectors
 /// are merged by the entrywise maximum, capturing that additional
-/// disjunctions only make a query less selective. On purely conjunctive
-/// queries the output equals ConjunctionEncoding's (the paper relies on this
-/// for JOB-light).
-class DisjunctionEncoding : public Featurizer {
+/// disjunctions only make a query less selective. Layout and encoding are
+/// ConjunctionEncoding's, so on purely conjunctive queries the output is
+/// identical (the paper relies on this for JOB-light).
+class DisjunctionEncoding : public ConjunctionEncoding {
  public:
-  DisjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts = {});
+  DisjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts = {})
+      : ConjunctionEncoding(std::move(schema), std::move(opts),
+                            /*allow_disjunctions=*/true) {}
 
-  int dim() const override { return conj_.dim(); }
   std::string name() const override { return "complex"; }
-  common::Status FeaturizeInto(const query::Query& q,
-                               float* out) const override;
-
-  /// Offset/size of attribute blocks (same layout as ConjunctionEncoding).
-  int AttrOffset(int a) const { return conj_.AttrOffset(a); }
-  int AttrEntries(int a) const { return conj_.AttrEntries(a); }
-
-  const ConjunctionOptions& options() const { return conj_.options(); }
-  const FeatureSchema& schema() const { return conj_.schema(); }
-
- private:
-  ConjunctionEncoding conj_;  // reused for layout and clause encoding
 };
 
 }  // namespace qfcard::featurize

@@ -5,6 +5,7 @@
 
 #include "common/str_util.h"
 #include "featurize/partitioner.h"
+#include "featurize/range.h"
 
 namespace qfcard::featurize {
 
@@ -26,9 +27,6 @@ MscnFeaturizer::MscnFeaturizer(const storage::Catalog* catalog,
   num_tables_ = global_.num_tables();
   num_edges_ = static_cast<int>(graph_->edges().size());
   num_attrs_ = global_.schema().num_attributes();
-  const Partitioner& part = opts_.partitioner != nullptr
-                                ? *opts_.partitioner
-                                : EquiWidthPartitioner::Get();
   if (mode_ == PredMode::kPerPredicate) {
     block_dim_ = 4;  // op one-hot (3) + normalized literal
   } else if (mode_ == PredMode::kPerAttributeRange) {
@@ -36,11 +34,11 @@ MscnFeaturizer::MscnFeaturizer(const storage::Catalog* catalog,
   } else {
     int max_block = 0;
     for (int a = 0; a < num_attrs_; ++a) {
-      const int n_a =
-          part.NumPartitions(global_.schema().attr(a), opts_.max_partitions);
-      attr_entries_.push_back(n_a);
-      max_block = std::max(
-          max_block, n_a + (opts_.append_attr_selectivity ? 1 : 0));
+      layouts_.push_back(Partitioner::Layout(opts_.partitioner.get(),
+                                             global_.schema().attr(a),
+                                             opts_.max_partitions));
+      max_block = std::max(max_block, layouts_.back().n +
+                                          (opts_.append_attr_selectivity ? 1 : 0));
     }
     block_dim_ = max_block;
   }
@@ -94,9 +92,6 @@ common::StatusOr<MscnSample> MscnFeaturizer::Featurize(
     sample.join_vecs.push_back(std::move(vec));
   }
 
-  const Partitioner& part = opts_.partitioner != nullptr
-                                ? *opts_.partitioner
-                                : EquiWidthPartitioner::Get();
   if (mode_ == PredMode::kPerPredicate) {
     for (const query::CompoundPredicate& cp : q.predicates) {
       if (cp.disjuncts.size() != 1) {
@@ -159,40 +154,10 @@ common::StatusOr<MscnSample> MscnFeaturizer::Featurize(
           catalog_->TableIndex(q.tables[static_cast<size_t>(cp.col.table)].name));
       QFCARD_ASSIGN_OR_RETURN(const int ga,
                               global_.GlobalIndex(cat_table, cp.col.column));
-      const AttributeInfo& attr = global_.schema().attr(ga);
-      double lo = attr.min;
-      double hi = attr.max;
-      const double step =
-          attr.integral ? 1.0 : std::max(attr.max - attr.min, 1e-12) * 1e-9;
-      for (const query::SimplePredicate& p : cp.disjuncts[0].preds) {
-        switch (p.op) {
-          case query::CmpOp::kEq:
-            lo = std::max(lo, p.value);
-            hi = std::min(hi, p.value);
-            break;
-          case query::CmpOp::kGe:
-            lo = std::max(lo, p.value);
-            break;
-          case query::CmpOp::kGt:
-            lo = std::max(lo, p.value + step);
-            break;
-          case query::CmpOp::kLe:
-            hi = std::min(hi, p.value);
-            break;
-          case query::CmpOp::kLt:
-            hi = std::min(hi, p.value - step);
-            break;
-          case query::CmpOp::kNe:
-            break;  // not representable
-        }
-      }
-      const double denom = std::max(attr.max - attr.min, 1e-12);
       std::vector<float> vec(static_cast<size_t>(pred_dim_), 0.0f);
       vec[static_cast<size_t>(ga)] = 1.0f;
-      vec[static_cast<size_t>(num_attrs_)] =
-          static_cast<float>(std::clamp((lo - attr.min) / denom, 0.0, 1.0));
-      vec[static_cast<size_t>(num_attrs_) + 1] =
-          static_cast<float>(std::clamp((hi - attr.min) / denom, 0.0, 1.0));
+      internal::EncodeRangeForAttr(global_.schema().attr(ga), cp.disjuncts[0],
+                                   vec.data() + num_attrs_);
       sample.pred_vecs.push_back(std::move(vec));
     }
     return sample;
@@ -207,24 +172,11 @@ common::StatusOr<MscnSample> MscnFeaturizer::Featurize(
                                 q.tables[static_cast<size_t>(cp.col.table)].name));
     QFCARD_ASSIGN_OR_RETURN(const int ga,
                             global_.GlobalIndex(cat_table, cp.col.column));
-    const AttributeInfo& attr = global_.schema().attr(ga);
-    const int n_a = attr_entries_[static_cast<size_t>(ga)];
     std::vector<float> vec(static_cast<size_t>(pred_dim_), 0.0f);
     vec[static_cast<size_t>(ga)] = 1.0f;
-    float* block = vec.data() + num_attrs_;
-    std::vector<float> scratch(static_cast<size_t>(n_a), 0.0f);
-    double merged_sel = 0.0;
-    for (const query::ConjunctiveClause& clause : cp.disjuncts) {
-      double sel = 1.0;
-      QFCARD_RETURN_IF_ERROR(internal::EncodeClauseForAttr(
-          attr, part, opts_, opts_.max_partitions, clause, scratch.data(), n_a,
-          opts_.append_attr_selectivity ? &sel : nullptr));
-      for (int i = 0; i < n_a; ++i) block[i] = std::max(block[i], scratch[i]);
-      merged_sel = std::max(merged_sel, sel);
-    }
-    if (opts_.append_attr_selectivity) {
-      block[n_a] = static_cast<float>(merged_sel);
-    }
+    QFCARD_RETURN_IF_ERROR(internal::EncodeCompoundForAttr(
+        global_.schema().attr(ga), layouts_[static_cast<size_t>(ga)], opts_,
+        cp, vec.data() + num_attrs_));
     sample.pred_vecs.push_back(std::move(vec));
   }
   return sample;

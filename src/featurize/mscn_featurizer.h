@@ -71,7 +71,8 @@ class MscnFeaturizer {
   int num_attrs_ = 0;
   int block_dim_ = 0;  // per-attribute payload width
   int pred_dim_ = 0;
-  std::vector<int> attr_entries_;  // n_A per global attribute (QFT mode)
+  // Per global attribute (QFT mode); point into *opts_.partitioner.
+  std::vector<PartitionLayout> layouts_;
 
   common::StatusOr<int> EdgeIndexOf(const query::Query& q,
                                     const query::JoinPredicate& j) const;

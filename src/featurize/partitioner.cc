@@ -8,19 +8,13 @@
 
 namespace qfcard::featurize {
 
-int EquiWidthPartitioner::NumPartitions(const AttributeInfo& attr,
-                                        int max_partitions) const {
-  if (attr.integral) {
-    const double domain = attr.max - attr.min + 1.0;
+int PartitionLayout::IndexOf(const AttributeInfo& attr, double value) const {
+  if (!bounds.empty()) {
+    // Partition i covers (b_{i-1}, b_i]; lower_bound gives the first
+    // boundary >= value, i.e. the partition index.
     return static_cast<int>(
-        std::max(1.0, std::min(static_cast<double>(max_partitions), domain)));
+        std::lower_bound(bounds.begin(), bounds.end(), value) - bounds.begin());
   }
-  return std::max(1, max_partitions);
-}
-
-int EquiWidthPartitioner::IndexOf(const AttributeInfo& attr,
-                                  int max_partitions, double value) const {
-  const int n = NumPartitions(attr, max_partitions);
   // Zero-based index formula of Section 3.2:
   //   floor((val - min(A)) / (max(A) - min(A) + 1) * n_A)
   // with the continuous-domain variant using max - min as the denominator
@@ -29,18 +23,51 @@ int EquiWidthPartitioner::IndexOf(const AttributeInfo& attr,
       attr.integral ? (attr.max - attr.min + 1.0)
                     : std::max(attr.max - attr.min, 1e-12) * (1.0 + 1e-9);
   const double rel = (value - attr.min) / denom;
-  const int idx = static_cast<int>(std::floor(rel * n));
-  return std::clamp(idx, 0, n - 1);
+  // Clamp in double: a far-out-of-domain literal's floor does not fit in
+  // int, and a NaN literal lands in partition 0.
+  const double pos = std::floor(rel * n);
+  if (pos >= n - 1) return n - 1;
+  return pos > 0 ? static_cast<int>(pos) : 0;
 }
 
-const EquiWidthPartitioner& EquiWidthPartitioner::Get() {
-  static const EquiWidthPartitioner kInstance;
-  return kInstance;
+PartitionLayout Partitioner::Layout(const Partitioner* partitioner,
+                                    const AttributeInfo& attr,
+                                    int max_partitions) {
+  const int slot = partitioner != nullptr ? partitioner->AttrSlot(attr) : -1;
+  if (slot >= 0) {
+    const std::vector<double>& b =
+        partitioner->boundaries_[static_cast<size_t>(slot)];
+    return PartitionLayout{static_cast<int>(b.size()) + 1, b};
+  }
+  // The paper's n_A = min(n, max(A) - min(A) + 1) for integral attributes.
+  int n = std::max(1, max_partitions);
+  if (attr.integral) {
+    const double domain = attr.max - attr.min + 1.0;
+    n = static_cast<int>(
+        std::max(1.0, std::min(static_cast<double>(max_partitions), domain)));
+  }
+  return PartitionLayout{n, {}};
 }
 
-EquiDepthPartitioner EquiDepthPartitioner::FromTable(
-    const storage::Table& table, int max_partitions) {
-  EquiDepthPartitioner out;
+Partitioner Partitioner::FromState(
+    std::vector<std::string> attr_names,
+    std::vector<std::vector<double>> boundaries) {
+  Partitioner out;
+  out.attr_names_ = std::move(attr_names);
+  out.boundaries_ = std::move(boundaries);
+  return out;
+}
+
+int Partitioner::AttrSlot(const AttributeInfo& attr) const {
+  for (size_t i = 0; i < attr_names_.size(); ++i) {
+    if (attr_names_[i] == attr.name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+Partitioner Partitioner::EquiDepth(const storage::Table& table,
+                                   int max_partitions) {
+  Partitioner out;
   for (int c = 0; c < table.num_columns(); ++c) {
     const storage::Column& col = table.column(c);
     std::vector<double> values = col.data();
@@ -61,35 +88,9 @@ EquiDepthPartitioner EquiDepthPartitioner::FromTable(
   return out;
 }
 
-EquiDepthPartitioner EquiDepthPartitioner::FromState(
-    std::vector<std::string> attr_names,
-    std::vector<std::vector<double>> boundaries) {
-  EquiDepthPartitioner out;
-  out.attr_names_ = std::move(attr_names);
-  out.boundaries_ = std::move(boundaries);
-  return out;
-}
-
-int EquiDepthPartitioner::AttrSlot(const AttributeInfo& attr) const {
-  for (size_t i = 0; i < attr_names_.size(); ++i) {
-    if (attr_names_[i] == attr.name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int EquiDepthPartitioner::NumPartitions(const AttributeInfo& attr,
-                                        int max_partitions) const {
-  const int slot = AttrSlot(attr);
-  if (slot < 0) {
-    return EquiWidthPartitioner::Get().NumPartitions(attr, max_partitions);
-  }
-  return static_cast<int>(boundaries_[static_cast<size_t>(slot)].size()) + 1;
-}
-
-VOptimalPartitioner VOptimalPartitioner::FromTable(const storage::Table& table,
-                                                   int max_partitions,
-                                                   int max_candidates) {
-  VOptimalPartitioner out;
+Partitioner Partitioner::VOptimal(const storage::Table& table,
+                                  int max_partitions, int max_candidates) {
+  Partitioner out;
   for (int c = 0; c < table.num_columns(); ++c) {
     const storage::Column& col = table.column(c);
     // Frequency per distinct value (pre-aggregated into at most
@@ -185,44 +186,6 @@ VOptimalPartitioner VOptimalPartitioner::FromTable(const storage::Table& table,
   return out;
 }
 
-VOptimalPartitioner VOptimalPartitioner::FromState(
-    std::vector<std::string> attr_names,
-    std::vector<std::vector<double>> boundaries) {
-  VOptimalPartitioner out;
-  out.attr_names_ = std::move(attr_names);
-  out.boundaries_ = std::move(boundaries);
-  return out;
-}
-
-int VOptimalPartitioner::AttrSlot(const AttributeInfo& attr) const {
-  for (size_t i = 0; i < attr_names_.size(); ++i) {
-    if (attr_names_[i] == attr.name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int VOptimalPartitioner::NumPartitions(const AttributeInfo& attr,
-                                       int max_partitions) const {
-  const int slot = AttrSlot(attr);
-  if (slot < 0) {
-    return EquiWidthPartitioner::Get().NumPartitions(attr, max_partitions);
-  }
-  return static_cast<int>(boundaries_[static_cast<size_t>(slot)].size()) + 1;
-}
-
-int VOptimalPartitioner::IndexOf(const AttributeInfo& attr, int max_partitions,
-                                 double value) const {
-  const int slot = AttrSlot(attr);
-  if (slot < 0) {
-    return EquiWidthPartitioner::Get().IndexOf(attr, max_partitions, value);
-  }
-  const std::vector<double>& b = boundaries_[static_cast<size_t>(slot)];
-  // Partition i covers values <= b[i]; lower_bound gives the first boundary
-  // >= value.
-  const auto it = std::lower_bound(b.begin(), b.end(), value);
-  return static_cast<int>(it - b.begin());
-}
-
 std::vector<int> SkewAwarePartitions(const storage::Table& table, int base,
                                      int boost, double skew_threshold) {
   std::vector<int> budgets;
@@ -244,19 +207,6 @@ std::vector<int> SkewAwarePartitions(const storage::Table& table, int base,
     budgets.push_back(budget);
   }
   return budgets;
-}
-
-int EquiDepthPartitioner::IndexOf(const AttributeInfo& attr,
-                                  int max_partitions, double value) const {
-  const int slot = AttrSlot(attr);
-  if (slot < 0) {
-    return EquiWidthPartitioner::Get().IndexOf(attr, max_partitions, value);
-  }
-  const std::vector<double>& b = boundaries_[static_cast<size_t>(slot)];
-  // Partition i covers (b_{i-1}, b_i]; lower_bound gives the first boundary
-  // >= value, i.e. the partition index.
-  const auto it = std::lower_bound(b.begin(), b.end(), value);
-  return static_cast<int>(it - b.begin());
 }
 
 }  // namespace qfcard::featurize

@@ -1,7 +1,8 @@
 #ifndef QFCARD_FEATURIZE_PARTITIONER_H_
 #define QFCARD_FEATURIZE_PARTITIONER_H_
 
-#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "featurize/feature_schema.h"
@@ -9,57 +10,66 @@
 
 namespace qfcard::featurize {
 
+/// One attribute's partitioning, resolved once per featurizer: n_A and the
+/// attribute's inner boundaries. Empty `bounds` select the paper's
+/// equi-width formula over n_A partitions.
+struct PartitionLayout {
+  int n = 1;
+  std::span<const double> bounds;
+
+  /// Zero-based partition index of `value` within `attr`; values outside
+  /// [min, max], however far, clamp to the first/last partition.
+  int IndexOf(const AttributeInfo& attr, double value) const;
+};
+
 /// Maps attribute values to partition indices for Universal Conjunction /
 /// Limited Disjunction Encoding (Section 3.2). The paper uses equi-width
 /// partitioning; it also notes that "sophisticated partitioning techniques
-/// from the field of histograms" can be plugged in, which EquiDepthPartitioner
-/// provides as an extension.
+/// from the field of histograms" can be plugged in. A partitioner keeps
+/// ascending inner boundaries b_1 < ... < b_{k-1} per attribute name
+/// (partition i covers (b_i, b_{i+1}]); every attribute without an entry,
+/// and every attribute of a default-constructed partitioner, is equi-width.
 class Partitioner {
  public:
-  virtual ~Partitioner() = default;
+  /// Extension: quantile boundaries from `table` (one column per
+  /// FeatureSchema attribute), `max_partitions` targets per attribute, so
+  /// every partition covers roughly the same number of rows. Helps skewed
+  /// attributes, where equi-width wastes most entries on empty regions.
+  static Partitioner EquiDepth(const storage::Table& table,
+                               int max_partitions);
 
-  /// Number of partitions n_A for attribute `attr` given the per-attribute
-  /// budget `max_partitions` (the paper's n).
-  virtual int NumPartitions(const AttributeInfo& attr,
-                            int max_partitions) const = 0;
-
-  /// Zero-based partition index of `value` within attribute `attr`; values
-  /// outside [min, max] clamp to the first/last partition.
-  virtual int IndexOf(const AttributeInfo& attr, int max_partitions,
-                      double value) const = 0;
-};
-
-/// The paper's partitioning: n_A = min(n, max(A) - min(A) + 1) partitions of
-/// consecutive values; index = floor((val - min) / domain_size * n_A).
-class EquiWidthPartitioner : public Partitioner {
- public:
-  int NumPartitions(const AttributeInfo& attr, int max_partitions) const override;
-  int IndexOf(const AttributeInfo& attr, int max_partitions,
-              double value) const override;
-
-  /// Shared process-wide instance (stateless).
-  static const EquiWidthPartitioner& Get();
-};
-
-/// Extension: quantile-based partitioning built from the data so every
-/// partition covers roughly the same number of rows. Helps skewed
-/// attributes, where equi-width wastes most entries on empty regions.
-class EquiDepthPartitioner : public Partitioner {
- public:
-  /// Builds per-attribute quantile boundaries from `table` (one column per
-  /// FeatureSchema attribute) with `max_partitions` target partitions.
-  static EquiDepthPartitioner FromTable(const storage::Table& table,
-                                        int max_partitions);
+  /// Extension: v-optimal boundaries (Poosala et al.), chosen by dynamic
+  /// programming to minimize the total within-bucket variance of value
+  /// frequencies, so regions with uneven frequency get finer partitions.
+  /// Distinct-value lists are capped at `max_candidates` pre-aggregated
+  /// cells to bound the O(B * V^2) DP.
+  static Partitioner VOptimal(const storage::Table& table, int max_partitions,
+                              int max_candidates = 512);
 
   /// Rebuilds a partitioner from previously captured state (see accessors
   /// below); used by serve/ to restore a saved featurizer byte-identically.
-  static EquiDepthPartitioner FromState(
-      std::vector<std::string> attr_names,
-      std::vector<std::vector<double>> boundaries);
+  static Partitioner FromState(std::vector<std::string> attr_names,
+                               std::vector<std::vector<double>> boundaries);
 
-  int NumPartitions(const AttributeInfo& attr, int max_partitions) const override;
+  /// Resolves `attr`'s layout under the partition budget `max_partitions`
+  /// (the paper's n). A null `partitioner` is a default one. The layout's
+  /// bounds point into `*partitioner`, which must outlive it.
+  static PartitionLayout Layout(const Partitioner* partitioner,
+                                const AttributeInfo& attr, int max_partitions);
+
+  /// Number of partitions n_A of `attr` under `max_partitions`.
+  int NumPartitions(const AttributeInfo& attr, int max_partitions) const {
+    return Layout(this, attr, max_partitions).n;
+  }
+
+  /// Zero-based partition index of `value` within `attr`.
   int IndexOf(const AttributeInfo& attr, int max_partitions,
-              double value) const override;
+              double value) const {
+    return Layout(this, attr, max_partitions).IndexOf(attr, value);
+  }
+
+  /// True when no attribute has boundaries (pure equi-width).
+  bool empty() const { return attr_names_.empty(); }
 
   const std::vector<std::string>& attr_names() const { return attr_names_; }
   const std::vector<std::vector<double>>& boundaries() const {
@@ -67,46 +77,6 @@ class EquiDepthPartitioner : public Partitioner {
   }
 
  private:
-  // boundaries_[a] holds ascending inner boundaries b_1 < ... < b_{k-1};
-  // partition i = (b_i, b_{i+1}]. Keyed by attribute name.
-  std::vector<std::string> attr_names_;
-  std::vector<std::vector<double>> boundaries_;
-
-  int AttrSlot(const AttributeInfo& attr) const;
-};
-
-/// Extension: v-optimal partitioning (Poosala et al., cited in Section 3.2
-/// as a candidate "sophisticated partitioning technique from the field of
-/// histograms"). Chooses bucket boundaries minimizing the total within-
-/// bucket variance of value frequencies via dynamic programming, so regions
-/// with uneven frequency get finer partitions.
-class VOptimalPartitioner : public Partitioner {
- public:
-  /// Builds per-attribute v-optimal boundaries from `table` with
-  /// `max_partitions` buckets per attribute. Distinct-value lists are capped
-  /// at `max_candidates` pre-aggregated cells to bound the O(B * V^2) DP.
-  static VOptimalPartitioner FromTable(const storage::Table& table,
-                                       int max_partitions,
-                                       int max_candidates = 512);
-
-  /// Rebuilds a partitioner from previously captured state (see accessors
-  /// below); used by serve/ to restore a saved featurizer byte-identically.
-  static VOptimalPartitioner FromState(
-      std::vector<std::string> attr_names,
-      std::vector<std::vector<double>> boundaries);
-
-  int NumPartitions(const AttributeInfo& attr, int max_partitions) const override;
-  int IndexOf(const AttributeInfo& attr, int max_partitions,
-              double value) const override;
-
-  const std::vector<std::string>& attr_names() const { return attr_names_; }
-  const std::vector<std::vector<double>>& boundaries() const {
-    return boundaries_;
-  }
-
- private:
-  // boundaries_[a]: ascending inner boundaries; partition i covers values
-  // <= boundaries_[a][i] (and the last partition the rest). Keyed by name.
   std::vector<std::string> attr_names_;
   std::vector<std::vector<double>> boundaries_;
 

@@ -5,16 +5,48 @@
 
 namespace qfcard::featurize {
 
-namespace {
+namespace internal {
 
-// Step used to close open ranges on continuous attributes (Section 3.1
-// suggests "a small step size" for decimal attributes).
-double OpenRangeStep(const AttributeInfo& attr) {
-  if (attr.integral) return 1.0;
-  return std::max(attr.max - attr.min, 1e-12) * 1e-9;
+void EncodeRangeForAttr(const AttributeInfo& attr,
+                        const query::ConjunctiveClause& clause, float* out) {
+  double lo = attr.min;
+  double hi = attr.max;
+  // Step used to close open ranges on continuous attributes (Section 3.1
+  // suggests "a small step size" for decimal attributes).
+  const double step =
+      attr.integral ? 1.0 : std::max(attr.max - attr.min, 1e-12) * 1e-9;
+  for (const query::SimplePredicate& p : clause.preds) {
+    switch (p.op) {
+      case query::CmpOp::kEq:
+        lo = std::max(lo, p.value);
+        hi = std::min(hi, p.value);
+        break;
+      case query::CmpOp::kGe:
+        lo = std::max(lo, p.value);
+        break;
+      case query::CmpOp::kGt:
+        lo = std::max(lo, p.value + step);
+        break;
+      case query::CmpOp::kLe:
+        hi = std::min(hi, p.value);
+        break;
+      case query::CmpOp::kLt:
+        hi = std::min(hi, p.value - step);
+        break;
+      case query::CmpOp::kNe:
+        // Not representable as a closed range; dropped (lossy by design).
+        break;
+    }
+  }
+  const double denom = std::max(attr.max - attr.min, 1e-12);
+  // An empty intersection (lo > hi) is encoded as a collapsed inverted
+  // range, which no satisfiable query produces; the model can learn it
+  // means cardinality ~0.
+  out[0] = static_cast<float>(std::clamp((lo - attr.min) / denom, 0.0, 1.0));
+  out[1] = static_cast<float>(std::clamp((hi - attr.min) / denom, 0.0, 1.0));
 }
 
-}  // namespace
+}  // namespace internal
 
 common::Status RangeEncoding::FeaturizeInto(const query::Query& q,
                                             float* out) const {
@@ -29,41 +61,8 @@ common::Status RangeEncoding::FeaturizeInto(const query::Query& q,
       return common::Status::InvalidArgument(
           "Range Predicate Encoding does not support disjunctions");
     }
-    const AttributeInfo& attr = schema_.attr(cp.col.column);
-    double lo = attr.min;
-    double hi = attr.max;
-    const double step = OpenRangeStep(attr);
-    for (const query::SimplePredicate& p : cp.disjuncts[0].preds) {
-      switch (p.op) {
-        case query::CmpOp::kEq:
-          lo = std::max(lo, p.value);
-          hi = std::min(hi, p.value);
-          break;
-        case query::CmpOp::kGe:
-          lo = std::max(lo, p.value);
-          break;
-        case query::CmpOp::kGt:
-          lo = std::max(lo, p.value + step);
-          break;
-        case query::CmpOp::kLe:
-          hi = std::min(hi, p.value);
-          break;
-        case query::CmpOp::kLt:
-          hi = std::min(hi, p.value - step);
-          break;
-        case query::CmpOp::kNe:
-          // Not representable as a closed range; dropped (lossy by design).
-          break;
-      }
-    }
-    const double denom = std::max(attr.max - attr.min, 1e-12);
-    const double lo_norm = std::clamp((lo - attr.min) / denom, 0.0, 1.0);
-    const double hi_norm = std::clamp((hi - attr.min) / denom, 0.0, 1.0);
-    // An empty intersection (lo > hi) is encoded as a collapsed inverted
-    // range, which no satisfiable query produces; the model can learn it
-    // means cardinality ~0.
-    out[2 * cp.col.column] = static_cast<float>(lo_norm);
-    out[2 * cp.col.column + 1] = static_cast<float>(hi_norm);
+    internal::EncodeRangeForAttr(schema_.attr(cp.col.column), cp.disjuncts[0],
+                                 out + 2 * cp.col.column);
   }
   return common::Status::Ok();
 }

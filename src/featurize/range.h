@@ -33,6 +33,18 @@ class RangeEncoding : public Featurizer {
   FeatureSchema schema_;
 };
 
+namespace internal {
+
+/// Range Predicate Encoding of one conjunctive clause over `attr`: its
+/// point/range predicates are intersected into one closed range, whose
+/// endpoints are written to out[0] (lo) and out[1] (hi), normalized to
+/// [0, 1]. Not-equal predicates are dropped. Shared by RangeEncoding and
+/// the MSCN featurizer's per-attribute range mode.
+void EncodeRangeForAttr(const AttributeInfo& attr,
+                        const query::ConjunctiveClause& clause, float* out);
+
+}  // namespace internal
+
 }  // namespace qfcard::featurize
 
 #endif  // QFCARD_FEATURIZE_RANGE_H_

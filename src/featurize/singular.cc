@@ -13,6 +13,10 @@ common::Status SingularEncoding::FeaturizeInto(const query::Query& q,
       return common::Status::InvalidArgument(
           "Singular Predicate Encoding does not support disjunctions");
     }
+    if (cp.disjuncts[0].preds.empty()) {
+      return common::Status::InvalidArgument(
+          "Singular Predicate Encoding needs a predicate in every clause");
+    }
     // Only the first predicate per attribute fits in the encoding; further
     // predicates on the same attribute are dropped (lossy by design).
     const query::SimplePredicate& p = cp.disjuncts[0].preds[0];

@@ -8,7 +8,6 @@
 
 #include "estimators/ml_estimator.h"
 #include "featurize/conjunction.h"
-#include "featurize/disjunction.h"
 #include "featurize/extensions.h"
 #include "featurize/feature_schema.h"
 #include "featurize/mscn_featurizer.h"
@@ -29,10 +28,12 @@ constexpr uint32_t kBundleVersion = 1;
 constexpr uint32_t kLocalQftMagic = 0x51465a31; // "QFZ1"
 constexpr uint32_t kMscnMagic = 0x514d4631;     // "QMF1"
 
-// Partitioner state tags inside featurizer blobs.
-constexpr uint8_t kPartEquiWidth = 0;  // stateless; also "no partitioner set"
-constexpr uint8_t kPartEquiDepth = 1;
-constexpr uint8_t kPartVOptimal = 2;
+// Partitioner state tags inside featurizer blobs. Tag 2 is what bundles
+// written before the partitioner became one class carry for v-optimal
+// boundaries; it decodes exactly like tag 1.
+constexpr uint8_t kPartEquiWidth = 0;  // no boundaries (or no partitioner)
+constexpr uint8_t kPartBoundaries = 1;
+constexpr uint8_t kPartLegacyVOptimal = 2;
 
 std::string Lowered(const std::string& s) {
   std::string out = s;
@@ -131,35 +132,24 @@ common::Status ReadBoundaries(ml::ByteReader& reader,
   return common::Status::Ok();
 }
 
-common::Status WriteOptions(ml::ByteWriter& writer,
-                            const featurize::ConjunctionOptions& opts) {
+void WriteOptions(ml::ByteWriter& writer,
+                  const featurize::ConjunctionOptions& opts) {
   writer.Write<int32_t>(opts.max_partitions);
   writer.Write<uint8_t>(opts.append_attr_selectivity ? 1 : 0);
   writer.Write<uint8_t>(opts.exact_small_domains ? 1 : 0);
   writer.Write<uint8_t>(opts.use_half_values ? 1 : 0);
   writer.WriteVector(opts.per_attribute_partitions);
   const featurize::Partitioner* p = opts.partitioner.get();
-  if (p == nullptr ||
-      dynamic_cast<const featurize::EquiWidthPartitioner*>(p) != nullptr) {
+  if (p == nullptr || p->empty()) {
     writer.Write<uint8_t>(kPartEquiWidth);
-    return common::Status::Ok();
+    return;
   }
-  if (const auto* ed = dynamic_cast<const featurize::EquiDepthPartitioner*>(p)) {
-    writer.Write<uint8_t>(kPartEquiDepth);
-    WriteBoundaries(writer, ed->attr_names(), ed->boundaries());
-    return common::Status::Ok();
-  }
-  if (const auto* vo = dynamic_cast<const featurize::VOptimalPartitioner*>(p)) {
-    writer.Write<uint8_t>(kPartVOptimal);
-    WriteBoundaries(writer, vo->attr_names(), vo->boundaries());
-    return common::Status::Ok();
-  }
-  return common::Status::Unimplemented(
-      "bundle: unknown Partitioner subclass cannot be persisted");
+  writer.Write<uint8_t>(kPartBoundaries);
+  WriteBoundaries(writer, p->attr_names(), p->boundaries());
 }
 
-// Decodes options, restoring the partitioner (null when the blob used the
-// stateless equi-width default).
+// Decodes options, restoring the partitioner (null when the blob has no
+// boundaries).
 common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
                            featurize::ConjunctionOptions* out) {
   int32_t max_partitions = 0;
@@ -197,18 +187,13 @@ common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
   std::vector<std::string> names;
   std::vector<std::vector<double>> boundaries;
   QFCARD_RETURN_IF_ERROR(ReadBoundaries(reader, &names, &boundaries));
-  if (tag == kPartEquiDepth) {
-    out->partitioner = std::make_shared<featurize::EquiDepthPartitioner>(
-        featurize::EquiDepthPartitioner::FromState(std::move(names),
-                                                   std::move(boundaries)));
-  } else if (tag == kPartVOptimal) {
-    out->partitioner = std::make_shared<featurize::VOptimalPartitioner>(
-        featurize::VOptimalPartitioner::FromState(std::move(names),
-                                                  std::move(boundaries)));
-  } else {
+  if (tag != kPartBoundaries && tag != kPartLegacyVOptimal) {
     return common::Status::InvalidArgument(
         "bundle options: unknown partitioner tag");
   }
+  out->partitioner = std::make_shared<const featurize::Partitioner>(
+      featurize::Partitioner::FromState(std::move(names),
+                                        std::move(boundaries)));
   return common::Status::Ok();
 }
 
@@ -216,19 +201,19 @@ common::Status ReadOptions(ml::ByteReader& reader, int num_attributes,
 // Featurizer blobs
 // ---------------------------------------------------------------------------
 
-common::Status EncodeLocalFeaturizer(featurize::QftKind kind,
-                                     const featurize::FeatureSchema& schema,
-                                     const featurize::ConjunctionOptions& opts,
-                                     std::vector<uint8_t>* out) {
+void EncodeLocalFeaturizer(featurize::QftKind kind,
+                           const featurize::FeatureSchema& schema,
+                           const featurize::ConjunctionOptions& opts,
+                           std::vector<uint8_t>* out) {
   ml::ByteWriter writer(out);
   writer.Write(kLocalQftMagic);
   writer.Write<uint8_t>(static_cast<uint8_t>(kind));
   WriteSchema(writer, schema);
-  return WriteOptions(writer, opts);
+  WriteOptions(writer, opts);
 }
 
-common::Status EncodeMscnFeaturizer(const featurize::MscnFeaturizer& f,
-                                    int hidden, std::vector<uint8_t>* out) {
+void EncodeMscnFeaturizer(const featurize::MscnFeaturizer& f, int hidden,
+                          std::vector<uint8_t>* out) {
   ml::ByteWriter writer(out);
   writer.Write(kMscnMagic);
   writer.Write<uint8_t>(static_cast<uint8_t>(f.mode()));
@@ -237,7 +222,7 @@ common::Status EncodeMscnFeaturizer(const featurize::MscnFeaturizer& f,
   WriteSchema(writer, global.schema());
   writer.WriteVector(global.first_attr());
   writer.WriteVector(global.num_columns());
-  return WriteOptions(writer, f.options());
+  WriteOptions(writer, f.options());
 }
 
 common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadLocal(
@@ -419,27 +404,22 @@ common::StatusOr<ModelBundle> BundleFromEstimator(
       case featurize::QftKind::kRange:
         schema = &dynamic_cast<const featurize::RangeEncoding&>(f).schema();
         break;
-      case featurize::QftKind::kConjunctive: {
+      case featurize::QftKind::kConjunctive:
+      case featurize::QftKind::kComplex: {
+        // DisjunctionEncoding is a ConjunctionEncoding.
         const auto& conj = dynamic_cast<const featurize::ConjunctionEncoding&>(f);
         schema = &conj.schema();
         opts = conj.options();
         break;
       }
-      case featurize::QftKind::kComplex: {
-        const auto& disj = dynamic_cast<const featurize::DisjunctionEncoding&>(f);
-        schema = &disj.schema();
-        opts = disj.options();
-        break;
-      }
     }
-    QFCARD_RETURN_IF_ERROR(
-        EncodeLocalFeaturizer(kind, *schema, opts, &bundle.featurizer));
+    EncodeLocalFeaturizer(kind, *schema, opts, &bundle.featurizer);
     QFCARD_RETURN_IF_ERROR(ml_est->SerializeModel(&bundle.model));
     return bundle;
   }
   if (const auto* mscn = dynamic_cast<const est::MscnEstimator*>(&estimator)) {
-    QFCARD_RETURN_IF_ERROR(EncodeMscnFeaturizer(
-        mscn->featurizer(), mscn->model().params().hidden, &bundle.featurizer));
+    EncodeMscnFeaturizer(mscn->featurizer(), mscn->model().params().hidden,
+                         &bundle.featurizer);
     QFCARD_RETURN_IF_ERROR(mscn->SerializeModel(&bundle.model));
     return bundle;
   }

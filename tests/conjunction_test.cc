@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "featurize/disjunction.h"
 #include "gtest/gtest.h"
 #include "query/executor.h"
 #include "test_util.h"
@@ -227,6 +228,38 @@ TEST(ConjunctionEncodingTest, OutOfDomainPredicates) {
   }
 }
 
+// B in [0, 115]: an upper bound far past max(B) keeps the whole domain,
+// even when the literal's partition index does not fit in an int.
+TEST(ConjunctionEncodingTest, FarOutOfDomainUpperBoundsKeepEveryPartition) {
+  const ConjunctionEncoding enc(PaperSchema(), PaperOptions(false));
+  for (const CmpOp op : {CmpOp::kLt, CmpOp::kLe}) {
+    for (const double value : {1e11, 1e15}) {
+      query::Query q = SingleTableQuery("t");
+      AddPredicate(q, 1, op, value);
+      const std::vector<float> v = enc.Featurize(q).value();
+      for (int i = 0; i < 12; ++i) {
+        EXPECT_FLOAT_EQ(v[static_cast<size_t>(enc.AttrOffset(1) + i)], 1.0f)
+            << "B " << (op == CmpOp::kLt ? "<" : "<=") << " " << value
+            << ", entry " << i;
+      }
+    }
+  }
+}
+
+// A NaN literal has no partition; the partition-based encodings reject it.
+TEST(ConjunctionEncodingTest, RejectsNanLiteral) {
+  const ConjunctionEncoding conj(PaperSchema(), PaperOptions(true));
+  const DisjunctionEncoding comp(PaperSchema(), PaperOptions(true));
+  for (const CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kGe, CmpOp::kNe}) {
+    query::Query q = SingleTableQuery("t");
+    AddPredicate(q, 1, op, std::nan(""));
+    EXPECT_EQ(conj.Featurize(q).status().code(),
+              common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(comp.Featurize(q).status().code(),
+              common::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ConjunctionEncodingTest, ContradictoryClauseIsAllZero) {
   const ConjunctionEncoding enc(PaperSchema(), PaperOptions(false));
   query::Query q = SingleTableQuery("t");
@@ -316,7 +349,7 @@ TEST_P(LosslessnessTest, FullResolutionVectorReconstructsCount) {
     for (int64_t r = 0; r < rows; ++r) {
       bool ok = true;
       for (int a = 0; a < 3 && ok; ++a) {
-        const int idx = EquiWidthPartitioner::Get().IndexOf(
+        const int idx = Partitioner().IndexOf(
             schema.attr(a), opts.max_partitions, t.column(a).Get(r));
         ok = v[static_cast<size_t>(enc.AttrOffset(a) + idx)] == 1.0f;
       }

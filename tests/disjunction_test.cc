@@ -1,5 +1,8 @@
 #include "featurize/disjunction.h"
 
+#include <cmath>
+#include <cstring>
+
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "query/executor.h"
@@ -115,6 +118,24 @@ TEST(DisjunctionEncodingTest, EqualsConjunctionEncodingOnConjunctiveQueries) {
   }
 }
 
+// Byte-level equality, down to the sign of a zero selectivity: on a
+// continuous domain starting at 0, `x <= -0` leaves a width of -0.0.
+TEST(DisjunctionEncodingTest, NegativeZeroLiteralEncodesBitIdentically) {
+  const FeatureSchema schema(
+      std::vector<AttributeInfo>{AttributeInfo{"x", 0.0, 10.0, false, 0}});
+  ConjunctionOptions opts;
+  opts.max_partitions = 4;
+  const ConjunctionEncoding conj(schema, opts);
+  const DisjunctionEncoding comp(schema, opts);
+  query::Query q = SingleTableQuery("t");
+  AddPredicate(q, 0, CmpOp::kLe, -0.0);
+  const std::vector<float> a = conj.Featurize(q).value();
+  const std::vector<float> b = comp.Featurize(q).value();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  EXPECT_FALSE(std::signbit(a.back()));  // selectivity +0.0
+}
+
 TEST(DisjunctionEncodingTest, MoreDisjunctsOnlyIncreaseEntries) {
   // Additional disjunctions make queries only less selective: entries are
   // monotonically non-decreasing in the number of clauses.
@@ -194,7 +215,7 @@ TEST_P(MixedLosslessnessTest, FullResolutionReconstructsCount) {
     for (int64_t r = 0; r < rows; ++r) {
       bool ok = true;
       for (int a = 0; a < 2 && ok; ++a) {
-        const int idx = EquiWidthPartitioner::Get().IndexOf(
+        const int idx = Partitioner().IndexOf(
             schema.attr(a), opts.max_partitions, t.column(a).Get(r));
         ok = v[static_cast<size_t>(enc.AttrOffset(a) + idx)] == 1.0f;
       }

@@ -1,6 +1,11 @@
 #include "featurize/feature_schema.h"
 
+#include <cmath>
+#include <cstdint>
+#include <memory>
+
 #include "common/random.h"
+#include "featurize/disjunction.h"
 #include "featurize/extensions.h"
 #include "featurize/join_encoding.h"
 #include "featurize/mscn_featurizer.h"
@@ -9,7 +14,9 @@
 #include "featurize/singular.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "workload/forest.h"
 #include "workload/imdb.h"
+#include "workload/query_gen.h"
 
 namespace qfcard::featurize {
 namespace {
@@ -51,7 +58,7 @@ TEST(EquiWidthPartitionerTest, PaperIndexFormula) {
   // Section 3.2: A in [-9, 50], n = 12 -> value 7 maps to index
   // floor((7 - (-9)) / (50 - (-9) + 1) * 12) = floor(3.2) = 3.
   const AttributeInfo a{"A", -9, 50, true, 60};
-  const EquiWidthPartitioner& part = EquiWidthPartitioner::Get();
+  const Partitioner part;  // no boundaries: equi-width
   EXPECT_EQ(part.NumPartitions(a, 12), 12);
   EXPECT_EQ(part.IndexOf(a, 12, 7), 3);
   EXPECT_EQ(part.IndexOf(a, 12, -9), 0);
@@ -60,7 +67,7 @@ TEST(EquiWidthPartitionerTest, PaperIndexFormula) {
 
 TEST(EquiWidthPartitionerTest, SmallDomainShrinksToDomain) {
   const AttributeInfo c{"C", 1, 2, true, 2};
-  const EquiWidthPartitioner& part = EquiWidthPartitioner::Get();
+  const Partitioner part;  // no boundaries: equi-width
   EXPECT_EQ(part.NumPartitions(c, 12), 2);
   EXPECT_EQ(part.IndexOf(c, 12, 1), 0);
   EXPECT_EQ(part.IndexOf(c, 12, 2), 1);
@@ -68,18 +75,29 @@ TEST(EquiWidthPartitionerTest, SmallDomainShrinksToDomain) {
 
 TEST(EquiWidthPartitionerTest, ClampsOutOfDomainValues) {
   const AttributeInfo a{"A", 0, 9, true, 10};
-  const EquiWidthPartitioner& part = EquiWidthPartitioner::Get();
+  const Partitioner part;  // no boundaries: equi-width
   EXPECT_EQ(part.IndexOf(a, 5, -100), 0);
   EXPECT_EQ(part.IndexOf(a, 5, 100), 4);
 }
 
 TEST(EquiWidthPartitionerTest, ContinuousDomain) {
   const AttributeInfo x{"x", 0.0, 1.0, false, 0};
-  const EquiWidthPartitioner& part = EquiWidthPartitioner::Get();
+  const Partitioner part;  // no boundaries: equi-width
   EXPECT_EQ(part.NumPartitions(x, 4), 4);
   EXPECT_EQ(part.IndexOf(x, 4, 0.0), 0);
   EXPECT_EQ(part.IndexOf(x, 4, 0.49), 1);
   EXPECT_EQ(part.IndexOf(x, 4, 1.0), 3);  // max value lands in last partition
+}
+
+// Literals whose partition index does not fit in an int, and infinities,
+// clamp like any other out-of-domain value.
+TEST(EquiWidthPartitionerTest, ClampsFarOutOfDomainValues) {
+  const AttributeInfo b{"B", 0, 115, true, 116};
+  const Partitioner part;  // no boundaries: equi-width
+  for (const double v : {1e11, 1e15, HUGE_VAL}) {
+    EXPECT_EQ(part.IndexOf(b, 12, v), 11) << v;
+    EXPECT_EQ(part.IndexOf(b, 12, -v), 0) << -v;
+  }
 }
 
 TEST(EquiDepthPartitionerTest, BalancesSkewedData) {
@@ -88,7 +106,7 @@ TEST(EquiDepthPartitionerTest, BalancesSkewedData) {
   for (int i = 0; i < 900; ++i) values.push_back(1);
   for (int i = 0; i < 100; ++i) values.push_back(i + 2);
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const EquiDepthPartitioner part = EquiDepthPartitioner::FromTable(t, 8);
+  const Partitioner part = Partitioner::EquiDepth(t, 8);
   const FeatureSchema schema = FeatureSchema::FromTable(t);
   // The spike at 1 collapses many quantiles; far fewer than 8 partitions.
   EXPECT_LT(part.NumPartitions(schema.attr(0), 8), 8);
@@ -109,7 +127,7 @@ TEST(VOptimalPartitionerTest, IsolatesFrequencySpikes) {
   for (int i = 0; i < 900; ++i) values.push_back(10);
   for (int i = 0; i < 100; ++i) values.push_back(i % 20);
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const VOptimalPartitioner part = VOptimalPartitioner::FromTable(t, 4);
+  const Partitioner part = Partitioner::VOptimal(t, 4);
   const FeatureSchema schema = FeatureSchema::FromTable(t);
   const AttributeInfo& attr = schema.attr(0);
   EXPECT_LE(part.NumPartitions(attr, 4), 4);
@@ -138,7 +156,7 @@ TEST(VOptimalPartitionerTest, MonotoneAndInRange) {
     values.push_back(static_cast<double>(rng.Zipf(200, 1.2)));
   }
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const VOptimalPartitioner part = VOptimalPartitioner::FromTable(t, 16);
+  const Partitioner part = Partitioner::VOptimal(t, 16);
   const FeatureSchema schema = FeatureSchema::FromTable(t);
   const AttributeInfo& attr = schema.attr(0);
   const int n = part.NumPartitions(attr, 16);
@@ -156,12 +174,12 @@ TEST(VOptimalPartitionerTest, MonotoneAndInRange) {
 TEST(VOptimalPartitionerTest, UnknownAttributeFallsBackToEquiWidth) {
   storage::Table t("t");
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", {1, 2, 3})));
-  const VOptimalPartitioner part = VOptimalPartitioner::FromTable(t, 8);
+  const Partitioner part = Partitioner::VOptimal(t, 8);
   const AttributeInfo other{"unrelated", 0, 99, true, 100};
   EXPECT_EQ(part.NumPartitions(other, 8),
-            EquiWidthPartitioner::Get().NumPartitions(other, 8));
+            Partitioner().NumPartitions(other, 8));
   EXPECT_EQ(part.IndexOf(other, 8, 50),
-            EquiWidthPartitioner::Get().IndexOf(other, 8, 50));
+            Partitioner().IndexOf(other, 8, 50));
 }
 
 // ---------------------------------------------------------------------------
@@ -216,6 +234,15 @@ TEST(SingularEncodingTest, RejectsDisjunctions) {
   const SingularEncoding enc(PaperSchema());
   query::Query q = SingleTableQuery("t");
   AddCompound(q, 0, {{{CmpOp::kLe, 0}}, {{CmpOp::kGe, 40}}});
+  EXPECT_EQ(enc.Featurize(q).status().code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+// A hand-built clause without predicates has no literal to encode.
+TEST(SingularEncodingTest, RejectsEmptyClause) {
+  const SingularEncoding enc(PaperSchema());
+  query::Query q = SingleTableQuery("t");
+  AddCompound(q, 0, std::vector<std::vector<std::pair<CmpOp, double>>>(1));
   EXPECT_EQ(enc.Featurize(q).status().code(),
             common::StatusCode::kInvalidArgument);
 }
@@ -496,6 +523,209 @@ TEST(MscnFeaturizerTest, PerAttributeModeSupportsDisjunctions) {
   testutil::AddCompound(q, year,
                         {{{CmpOp::kLe, 1950}}, {{CmpOp::kGe, 2000}}});
   EXPECT_TRUE(feat.Featurize(q).ok());
+}
+
+std::shared_ptr<const Partitioner> GoldenEquiDepth(const storage::Table& t,
+                                                   int n) {
+  return std::make_shared<const Partitioner>(Partitioner::EquiDepth(t, n));
+}
+
+std::shared_ptr<const Partitioner> GoldenVOptimal(const storage::Table& t,
+                                                  int n) {
+  return std::make_shared<const Partitioner>(Partitioner::VOptimal(t, n));
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: every QFT over a fixed seeded forest workload
+// ---------------------------------------------------------------------------
+
+// FNV-1a over a byte range, chained through `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+uint64_t HashStatus(uint64_t h, const common::Status& s) {
+  const int code = static_cast<int>(s.code());
+  return Fnv1a(h, &code, sizeof(code));
+}
+
+// Feature bytes of every query, or the status code of a rejected one.
+uint64_t DigestFeatures(uint64_t h, const Featurizer& f,
+                        const std::vector<query::Query>& queries) {
+  std::vector<float> out(static_cast<size_t>(f.dim()));
+  for (const query::Query& q : queries) {
+    std::fill(out.begin(), out.end(), 0.0f);
+    const common::Status s = f.FeaturizeInto(q, out.data());
+    h = s.ok() ? Fnv1a(h, out.data(), out.size() * sizeof(float))
+               : HashStatus(h, s);
+  }
+  return h;
+}
+
+uint64_t DigestSets(uint64_t h, const std::vector<std::vector<float>>& set) {
+  const size_t n = set.size();
+  h = Fnv1a(h, &n, sizeof(n));
+  for (const std::vector<float>& v : set) {
+    h = Fnv1a(h, v.data(), v.size() * sizeof(float));
+  }
+  return h;
+}
+
+uint64_t DigestMscn(uint64_t h, const MscnFeaturizer& f,
+                    const std::vector<query::Query>& queries) {
+  for (const query::Query& q : queries) {
+    const common::StatusOr<MscnSample> s = f.Featurize(q);
+    if (!s.ok()) {
+      h = HashStatus(h, s.status());
+      continue;
+    }
+    h = DigestSets(h, s.value().table_vecs);
+    h = DigestSets(h, s.value().join_vecs);
+    h = DigestSets(h, s.value().pred_vecs);
+  }
+  return h;
+}
+
+// The forest generator's integral columns plus one continuous column, so
+// both branches of the equi-width index formula are covered.
+storage::Table GoldenForest() {
+  workload::ForestOptions fo;
+  fo.num_rows = 3000;
+  fo.num_attributes = 8;
+  fo.seed = 11;
+  storage::Table t = workload::MakeForestTable(fo);
+  std::vector<double> cont;
+  const storage::Column& a1 = t.column(0);
+  for (size_t r = 0; r < a1.data().size(); ++r) {
+    cont.push_back(a1.data()[r] * 0.37 + 0.01 * static_cast<double>(r % 7));
+  }
+  QFCARD_CHECK_OK(t.AddColumn(testutil::FloatColumn("X", std::move(cont))));
+  return t;
+}
+
+// The first `count` columns of `t`, each renamed `prefix` + its name.
+storage::Table Renamed(const storage::Table& t, int count,
+                       const std::string& prefix) {
+  storage::Table out(t.name());
+  for (int c = 0; c < count; ++c) {
+    const storage::Column& col = t.column(c);
+    storage::Column renamed(prefix + col.name(), col.type());
+    renamed.AppendBatch(col.data());
+    QFCARD_CHECK_OK(out.AddColumn(std::move(renamed)));
+  }
+  return out;
+}
+
+// Any change to a QFT, a partitioner or an option's effect moves one of
+// these digests; a pure refactor must leave every one untouched.
+TEST(FeaturizeGoldenTest, ForestWorkloadDigests) {
+  const storage::Table forest = GoldenForest();
+  const FeatureSchema schema = FeatureSchema::FromTable(forest);
+  common::Rng rng(20);
+  const std::vector<query::Query> conj = workload::GeneratePredicateWorkload(
+      forest, 150, workload::ConjunctiveWorkloadOptions(6), rng);
+  workload::PredicateGenOptions mixed_opts = workload::MixedWorkloadOptions(6);
+  mixed_opts.in_list_prob = 0.2;
+  const std::vector<query::Query> mixed =
+      workload::GeneratePredicateWorkload(forest, 150, mixed_opts, rng);
+
+  storage::Catalog catalog;
+  QFCARD_CHECK_OK(catalog.AddTable(GoldenForest()));
+  const query::SchemaGraph graph;
+
+  // Equi-depth covers only the first half of the columns, so the other half
+  // exercises the equi-width fallback for attributes without boundaries.
+  // The MSCN featurizer keys attributes by qualified name ("forest.A1").
+  const int half = forest.num_columns() / 2;
+  const storage::Table local_half = Renamed(forest, half, "");
+  const storage::Table global_half = Renamed(forest, half, "forest.");
+  const storage::Table global_all =
+      Renamed(forest, forest.num_columns(), "forest.");
+  using Named = std::pair<std::string, std::shared_ptr<const Partitioner>>;
+  const std::vector<Named> local_parts = {
+      {"equi-width", nullptr},
+      {"equi-depth", GoldenEquiDepth(local_half, 16)},
+      {"v-optimal", GoldenVOptimal(forest, 16)}};
+  const std::vector<Named> global_parts = {
+      {"equi-width", nullptr},
+      {"equi-depth", GoldenEquiDepth(global_half, 16)},
+      {"v-optimal", GoldenVOptimal(global_all, 16)}};
+
+  std::vector<ConjunctionOptions> variants(7);
+  variants[1].max_partitions = 8;
+  variants[2].append_attr_selectivity = false;
+  variants[3].exact_small_domains = false;
+  variants[4].use_half_values = false;
+  variants[5].max_partitions = 16;
+  variants[5].append_attr_selectivity = false;
+  variants[5].exact_small_domains = false;
+  variants[5].use_half_values = false;
+  variants[6].max_partitions = 16;
+  variants[6].per_attribute_partitions = SkewAwarePartitions(forest, 16, 4);
+
+  std::vector<std::pair<std::string, uint64_t>> got;
+  got.emplace_back("simple",
+                   DigestFeatures(kFnvBasis, SingularEncoding(schema), mixed));
+  got.emplace_back("range",
+                   DigestFeatures(kFnvBasis, RangeEncoding(schema), mixed));
+  for (const auto mode : {MscnFeaturizer::PredMode::kPerPredicate,
+                          MscnFeaturizer::PredMode::kPerAttributeRange}) {
+    const MscnFeaturizer f(&catalog, &graph, mode);
+    uint64_t h = DigestMscn(kFnvBasis, f, conj);
+    got.emplace_back(mode == MscnFeaturizer::PredMode::kPerPredicate
+                         ? "mscn-pred"
+                         : "mscn-range",
+                     DigestMscn(h, f, mixed));
+  }
+  for (size_t p = 0; p < local_parts.size(); ++p) {
+    uint64_t conj_h = kFnvBasis;
+    uint64_t comp_h = kFnvBasis;
+    uint64_t mscn_h = kFnvBasis;
+    for (ConjunctionOptions opts : variants) {
+      opts.partitioner = local_parts[p].second;
+      conj_h = DigestFeatures(conj_h, ConjunctionEncoding(schema, opts), conj);
+      const DisjunctionEncoding comp(schema, opts);
+      comp_h = DigestFeatures(DigestFeatures(comp_h, comp, conj), comp, mixed);
+      opts.partitioner = global_parts[p].second;
+      const MscnFeaturizer mscn(&catalog, &graph,
+                                MscnFeaturizer::PredMode::kPerAttributeQft,
+                                opts);
+      mscn_h = DigestMscn(DigestMscn(mscn_h, mscn, conj), mscn, mixed);
+    }
+    const std::string& pname = local_parts[p].first;
+    got.emplace_back("conjunctive/" + pname, conj_h);
+    got.emplace_back("complex/" + pname, comp_h);
+    got.emplace_back("mscn-qft/" + pname, mscn_h);
+  }
+
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"simple", 0x40efd54ed7aa9063ULL},
+      {"range", 0x850ce77d50a8cffcULL},
+      {"mscn-pred", 0x63dc388ed2b63f9cULL},
+      {"mscn-range", 0xba0067e279d81832ULL},
+      {"conjunctive/equi-width", 0xa13a82458d2dac98ULL},
+      {"complex/equi-width", 0x200a904cf5037717ULL},
+      {"mscn-qft/equi-width", 0x177ea174815fdfcaULL},
+      {"conjunctive/equi-depth", 0x9f22058fcad93f78ULL},
+      {"complex/equi-depth", 0x657a4a8c197030a7ULL},
+      {"mscn-qft/equi-depth", 0x01f309edc5f92297ULL},
+      {"conjunctive/v-optimal", 0x886c01e7000d807cULL},
+      {"complex/v-optimal", 0x4091a2147df6776aULL},
+      {"mscn-qft/v-optimal", 0xb9ee03669aea3813ULL},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second)
+        << got[i].first << ": 0x" << std::hex << got[i].second << "ULL";
+  }
 }
 
 }  // namespace

@@ -137,9 +137,14 @@ TEST(SerializeRoundTrip, NnComplex) {
 
 /// An equi-depth partitioner over the fixture table, budget 16.
 std::shared_ptr<const featurize::Partitioner> EquiDepth16() {
-  return std::make_shared<featurize::EquiDepthPartitioner>(
-      featurize::EquiDepthPartitioner::FromTable(GetFixture().catalog.table(0),
-                                                 16));
+  return std::make_shared<const featurize::Partitioner>(
+      featurize::Partitioner::EquiDepth(GetFixture().catalog.table(0), 16));
+}
+
+/// A v-optimal partitioner over the fixture table, budget 16.
+std::shared_ptr<const featurize::Partitioner> VOptimal16() {
+  return std::make_shared<const featurize::Partitioner>(
+      featurize::Partitioner::VOptimal(GetFixture().catalog.table(0), 16));
 }
 
 TEST(SerializeRoundTrip, GbConjunctiveWithEquiDepthPartitioner) {
@@ -147,6 +152,53 @@ TEST(SerializeRoundTrip, GbConjunctiveWithEquiDepthPartitioner) {
   opts.conj.partitioner = EquiDepth16();
   opts.conj.max_partitions = 16;
   ExpectRoundTrip("gb+conjunctive", opts);
+}
+
+TEST(SerializeRoundTrip, NnComplexWithVOptimalPartitioner) {
+  est::EstimatorOptions opts = SmallOptions();
+  opts.conj.partitioner = VOptimal16();
+  opts.conj.max_partitions = 16;
+  ExpectRoundTrip("nn+complex", opts);
+}
+
+// Bundles written while equi-depth and v-optimal were separate partitioner
+// classes tag v-optimal boundaries 2 instead of 1; the blob is otherwise
+// byte-for-byte the same. Such a bundle still loads, estimates exactly like
+// the saved model, and re-saves with tag 1.
+TEST(SerializeRoundTrip, LegacyVOptimalTagStillLoads) {
+  const Fixture& fx = GetFixture();
+  est::EstimatorOptions opts = SmallOptions();
+  opts.conj.partitioner = VOptimal16();
+  opts.conj.max_partitions = 16;
+  std::unique_ptr<est::CardinalityEstimator> built =
+      est::MakeEstimator("gb+conjunctive", fx.catalog, opts).value();
+  QFCARD_CHECK_OK(
+      built->Train(fx.train_queries, fx.train_cards, 0.15, 20260806));
+  const std::vector<double> before =
+      built->EstimateBatch(fx.test_queries).value();
+  const ModelBundle bundle =
+      BundleFromEstimator(*built, "gb+conjunctive").value();
+
+  // The partitioner tag directly precedes the boundary section: a u32
+  // attribute count, then per attribute a u64-length name and a
+  // u64-length vector of doubles.
+  size_t section = sizeof(uint32_t);
+  const featurize::Partitioner& part = *opts.conj.partitioner;
+  for (size_t a = 0; a < part.attr_names().size(); ++a) {
+    section += 2 * sizeof(uint64_t) + part.attr_names()[a].size() +
+               part.boundaries()[a].size() * sizeof(double);
+  }
+  ModelBundle legacy = bundle;
+  ASSERT_GT(legacy.featurizer.size(), section);
+  uint8_t& tag = legacy.featurizer[legacy.featurizer.size() - section - 1];
+  ASSERT_EQ(tag, 1);
+  tag = 2;
+
+  const std::unique_ptr<est::CardinalityEstimator> loaded =
+      EstimatorFromBundle(legacy, fx.catalog).value();
+  EXPECT_EQ(loaded->EstimateBatch(fx.test_queries).value(), before);
+  EXPECT_EQ(BundleFromEstimator(*loaded, "gb+conjunctive").value().featurizer,
+            bundle.featurizer);
 }
 
 // The featurizer co-owns its partitioner: with every caller-held handle

@@ -244,10 +244,10 @@ TEST_F(PoolTraceTest, TaskSpansJoinTheSubmittersTrace) {
 TEST_F(PoolTraceTest, LeakedTaskSpanDoesNotPoisonLaterTasks) {
   ThreadPool pool(4);
   // Round 1: one task "leaks" an unclosed span (heap-allocated, ended after
-  // the assertions). Without the Release() restore at the task boundary,
-  // the leaking thread's parent chain would still point at it, and every
-  // span a later task opens on that thread would silently parent under a
-  // span from a long-finished request.
+  // the assertions). Without the restore by obs::ScopedTraceContext's
+  // destructor at the task boundary, the leaking thread's parent chain
+  // would still point at it, and every span a later task opens on that
+  // thread would silently parent under a span from a long-finished request.
   std::atomic<obs::TraceSpan*> leaked{nullptr};
   pool.ParallelFor(8, [&leaked](int64_t i) {
     if (i == 0) {
