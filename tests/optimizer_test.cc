@@ -10,6 +10,7 @@
 #include "optimizer/plan_executor.h"
 #include "query/join_executor.h"
 #include "test_util.h"
+#include "workload/imdb.h"
 
 namespace qfcard::opt {
 namespace {
@@ -256,6 +257,92 @@ TEST(PlanExecutorTest, TrueCostOptimalPlanNotWorseThanAlternatives) {
   // estimates are exact.
   EXPECT_DOUBLE_EQ(exec_or.value().intermediate_rows,
                    PlanCostCout(plan_or.value()));
+}
+
+
+// ---- Join engine characterization goldens ----------------------------------
+
+// FNV-1a over a byte range, chained through `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+// Join counts, materialized sub-schema joins (row order included: local
+// training draws literals by row index) and executed optimizer plans over a
+// fixed IMDb instance. Any change to a join result, a materialized row order
+// or a plan's realized intermediate sizes moves one of these digests; a
+// refactor of the engine must leave every one untouched.
+TEST(JoinEngineGoldenTest, ImdbDigests) {
+  workload::ImdbOptions io;
+  io.num_titles = 500;
+  io.seed = 21;
+  const workload::ImdbDatabase db = workload::MakeImdbDatabase(io);
+  common::Rng rng(2121);
+  workload::JobLightOptions jo;
+  jo.count = 40;
+  jo.min_tables = 2;
+  jo.max_tables = 4;
+  const std::vector<query::Query> queries =
+      workload::MakeJobLightWorkload(db, jo, rng);
+  ASSERT_FALSE(queries.empty());
+
+  uint64_t count_h = kFnvBasis;
+  for (const query::Query& q : queries) {
+    const auto count_or = query::JoinExecutor::Count(db.catalog, q);
+    ASSERT_TRUE(count_or.ok()) << count_or.status();
+    const int64_t count = count_or.value();
+    count_h = Fnv1a(count_h, &count, sizeof(count));
+  }
+
+  uint64_t mat_h = kFnvBasis;
+  const std::vector<std::vector<std::string>> subs =
+      db.graph.EnumerateSubSchemas(
+          db.table_names, 1, static_cast<int>(db.table_names.size()));
+  for (const std::vector<std::string>& sub : subs) {
+    const auto mat_or = query::JoinExecutor::Materialize(db.catalog, sub,
+                                                         db.graph);
+    ASSERT_TRUE(mat_or.ok()) << mat_or.status();
+    const storage::Table& mat = mat_or.value();
+    const int64_t rows = mat.num_rows();
+    mat_h = Fnv1a(mat_h, &rows, sizeof(rows));
+    for (int c = 0; c < mat.num_columns(); ++c) {
+      const storage::Column& col = mat.column(c);
+      mat_h = Fnv1a(mat_h, col.name().data(), col.name().size());
+      mat_h = Fnv1a(mat_h, col.data().data(),
+                    col.data().size() * sizeof(double));
+    }
+  }
+
+  const est::TrueCardEstimator oracle(&db.catalog);
+  uint64_t plan_h = kFnvBasis;
+  for (const query::Query& q : queries) {
+    const SubsetCardFn card_of =
+        [&](uint32_t mask) -> common::StatusOr<double> {
+      QFCARD_ASSIGN_OR_RETURN(const query::Query sub,
+                              InducedSubQuery(q, mask));
+      return oracle.EstimateCard(sub);
+    };
+    const auto plan_or = JoinOrderOptimizer::Optimize(q, card_of);
+    ASSERT_TRUE(plan_or.ok()) << plan_or.status();
+    const auto exec_or = ExecutePlan(db.catalog, q, plan_or.value());
+    ASSERT_TRUE(exec_or.ok()) << exec_or.status();
+    const int64_t result = exec_or.value().result_rows;
+    const double intermediate = exec_or.value().intermediate_rows;
+    plan_h = Fnv1a(plan_h, &result, sizeof(result));
+    plan_h = Fnv1a(plan_h, &intermediate, sizeof(intermediate));
+  }
+
+  EXPECT_EQ(subs.size(), 37u);  // title with any satellites, or one satellite
+  EXPECT_EQ(count_h, 0x26714ce2ca4a6845ULL) << std::hex << count_h;
+  EXPECT_EQ(mat_h, 0xf8c5f8c336617569ULL) << std::hex << mat_h;
+  EXPECT_EQ(plan_h, 0xd75f55d561e720d3ULL) << std::hex << plan_h;
 }
 
 }  // namespace
