@@ -14,10 +14,13 @@ struct ExecResult {
   double intermediate_rows = 0.0;
 };
 
-/// Executes `plan` for `q` against real data: selections are pushed to the
-/// leaves, every internal node is a hash join (build on the smaller input).
-/// Wall time depends on the plan's true intermediate sizes, which is exactly
-/// how bad cardinality estimates become bad run times (Table 4's
+/// Executes `plan` for `q` against real data on query::JoinEngine: leaves
+/// are slot scans (selections pushed below the joins), every internal node
+/// is a hash join that builds on its smaller input, and the root join is
+/// counted rather than materialized (with GROUP BY, `result_rows` counts
+/// groups; `intermediate_rows` always sums join tuples). `q` is validated
+/// first. Wall time depends on the plan's true intermediate sizes, which is
+/// exactly how bad cardinality estimates become bad run times (Table 4's
 /// end-to-end measurement).
 common::StatusOr<ExecResult> ExecutePlan(const storage::Catalog& catalog,
                                          const query::Query& q,

@@ -8,15 +8,18 @@
 namespace qfcard::query {
 
 /// Process-wide execution-feedback hook (docs/adaptive.md): when installed,
-/// every count(*) the engine executes — query::Executor::Count and the
-/// optimizer's plan executor — reports (query, true cardinality) through it,
-/// giving the online-learning subsystem one ingestion point without the
-/// executors knowing anything above their layer. The hook must be fast and
-/// const-thread-safe: executors run on worker threads, and labeling
-/// workloads (workload::LabelOnTable) execute counts in parallel, so a hook
-/// that needs a fixed feedback order should only be installed around
-/// serially-executed traffic (the CLI truth checks, the drift-stream bench
-/// ticks) — adapt::ExecutionFeedbackConnection does exactly that.
+/// the executed counts report (query, true cardinality) through it, giving
+/// the online-learning subsystem one ingestion point without the executors
+/// knowing anything above their layer. The publishers are
+/// query::Executor::Count (which is also query::JoinExecutor::Count of a
+/// one-table query) and opt::ExecutePlan. JoinExecutor::Count of a join does
+/// not publish: workload::LabelOnCatalog runs it in parallel. The hook must
+/// be fast and const-thread-safe: executors run on worker threads, and
+/// labeling workloads (workload::LabelOnTable, LabelOnCatalog) execute
+/// counts in parallel, so a hook that needs a fixed feedback order should
+/// only be installed around serially-executed traffic (the CLI truth checks,
+/// the drift-stream bench ticks) — adapt::ExecutionFeedbackConnection does
+/// exactly that.
 using ExecutionFeedbackHook = std::function<void(const Query& q,
                                                  double true_card)>;
 

@@ -15,9 +15,13 @@ common::Status CheckSingleTable(const storage::Table& table, const Query& q) {
         "Executor handles single-table queries; use JoinExecutor for joins");
   }
   for (const CompoundPredicate& cp : q.predicates) {
-    if (cp.col.table != 0 || cp.col.column < 0 ||
-        cp.col.column >= table.num_columns()) {
-      return common::Status::OutOfRange("predicate column out of range");
+    if (cp.col.table != 0) {
+      return common::Status::OutOfRange("predicate table out of range");
+    }
+  }
+  for (const ColumnRef& g : q.group_by) {
+    if (g.table != 0 || g.column < 0 || g.column >= table.num_columns()) {
+      return common::Status::OutOfRange("GROUP BY column out of range");
     }
   }
   return common::Status::Ok();
@@ -43,8 +47,18 @@ void FilterClause(const storage::Table& table, const ConjunctiveClause& clause,
 }  // namespace
 
 common::StatusOr<std::vector<int32_t>> Executor::Filter(
-    const storage::Table& table, const Query& q) {
-  QFCARD_RETURN_IF_ERROR(CheckSingleTable(table, q));
+    const storage::Table& table, const Query& q, int slot) {
+  const auto in_range = [&](const ColumnRef& ref) {
+    return ref.column >= 0 && ref.column < table.num_columns();
+  };
+  for (const CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table != slot) continue;
+    bool ok = in_range(cp.col);
+    for (const ConjunctiveClause& clause : cp.disjuncts) {
+      for (const SimplePredicate& p : clause.preds) ok = ok && in_range(p.col);
+    }
+    if (!ok) return common::Status::OutOfRange("predicate column out of range");
+  }
   std::vector<int32_t> rows(static_cast<size_t>(table.num_rows()));
   for (int64_t i = 0; i < table.num_rows(); ++i) {
     rows[static_cast<size_t>(i)] = static_cast<int32_t>(i);
@@ -52,6 +66,7 @@ common::StatusOr<std::vector<int32_t>> Executor::Filter(
   std::vector<int32_t> next;
   next.reserve(rows.size());
   for (const CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table != slot) continue;
     if (cp.disjuncts.size() == 1) {
       // Common fast path: plain conjunction.
       FilterClause(table, cp.disjuncts[0], rows, next);
@@ -69,7 +84,8 @@ common::StatusOr<std::vector<int32_t>> Executor::Filter(
 
 common::StatusOr<int64_t> Executor::Count(const storage::Table& table,
                                           const Query& q) {
-  QFCARD_ASSIGN_OR_RETURN(const std::vector<int32_t> rows, Filter(table, q));
+  QFCARD_RETURN_IF_ERROR(CheckSingleTable(table, q));
+  QFCARD_ASSIGN_OR_RETURN(const std::vector<int32_t> rows, Filter(table, q, 0));
   if (q.group_by.empty()) {
     const int64_t count = static_cast<int64_t>(rows.size());
     PublishExecutionFeedback(q, static_cast<double>(count));

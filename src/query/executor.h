@@ -15,11 +15,11 @@ namespace qfcard::query {
 /// "query -> cardinality" function for fixed data).
 class Executor {
  public:
-  /// Returns the row ids of `table` satisfying all compound predicates of
-  /// `q`. `q` must be a single-table query whose ColumnRefs point into
-  /// `table`.
+  /// Returns the row ids of `table`, the table of slot `slot` of `q`, that
+  /// satisfy the compound predicates on that slot; predicates on other
+  /// slots are ignored. Joins push their selections down through it.
   static common::StatusOr<std::vector<int32_t>> Filter(
-      const storage::Table& table, const Query& q);
+      const storage::Table& table, const Query& q, int slot);
 
   /// Returns count(*) of `q` over `table`. If the query has a GROUP BY
   /// clause, returns the number of groups (the result size of the grouped

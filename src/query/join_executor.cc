@@ -2,66 +2,121 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
-#include "common/str_util.h"
 #include "query/executor.h"
 
 namespace qfcard::query {
 
 namespace {
 
-// Joined intermediate: row-id tuples, flat with stride = joined table count.
-struct TupleSet {
-  std::vector<int> table_indices;  // which Query::tables slots are joined
-  std::vector<int32_t> rows;       // flat tuples, stride = table_indices.size()
-
-  size_t stride() const { return table_indices.size(); }
-  size_t count() const {
-    return table_indices.empty() ? 0 : rows.size() / stride();
-  }
-  int SlotOf(int table_idx) const {
-    for (size_t i = 0; i < table_indices.size(); ++i) {
-      if (table_indices[i] == table_idx) return static_cast<int>(i);
+// Calls on_match(probe tuple, build tuple) for every pair that agrees on
+// every join edge between the two inputs, in probe scan order and, per
+// probe tuple, build scan order.
+template <typename OnMatch>
+common::Status ForEachMatch(const JoinEngine& engine, const TupleSet& probe,
+                            const TupleSet& build, OnMatch&& on_match) {
+  struct Key {
+    size_t probe_pos;
+    const storage::Column* probe_col;
+    size_t build_pos;
+    const storage::Column* build_col;
+  };
+  std::vector<Key> keys;
+  for (const JoinPredicate& j : engine.query().joins) {
+    for (const auto& [p, b] : {std::pair(j.left, j.right),
+                               std::pair(j.right, j.left)}) {
+      const int pp = probe.PosOf(p.table);
+      const int bp = build.PosOf(b.table);
+      if (pp < 0 || bp < 0) continue;
+      keys.push_back({static_cast<size_t>(pp),
+                      &engine.table(p.table).column(p.column),
+                      static_cast<size_t>(bp),
+                      &engine.table(b.table).column(b.column)});
+      break;
     }
-    return -1;
   }
-};
+  if (keys.empty()) {
+    return common::Status::InvalidArgument(
+        "join graph is disconnected (cross products unsupported)");
+  }
+  const auto value = [](const TupleSet& side, size_t tuple, size_t pos,
+                        const storage::Column* col) {
+    return col->Get(side.rows[tuple * side.stride() + pos]);
+  };
 
-// Applies the single-table compound predicates of `q` that reference table
-// slot `t`, returning qualifying row ids.
-common::StatusOr<std::vector<int32_t>> FilterTable(
-    const storage::Table& table, const Query& q, int t) {
-  Query local;
-  local.tables.push_back(q.tables[static_cast<size_t>(t)]);
-  for (const CompoundPredicate& cp : q.predicates) {
-    if (cp.col.table != t) continue;
-    CompoundPredicate rebased = cp;
-    rebased.col.table = 0;
-    for (ConjunctiveClause& clause : rebased.disjuncts) {
-      for (SimplePredicate& p : clause.preds) p.col.table = 0;
-    }
-    local.predicates.push_back(std::move(rebased));
+  // qfcard-lint: ok(unordered-container): lookup-only hash-join build side.
+  // Output order is probe scan order; per-key match lists append in build
+  // scan order; the map itself is never iterated.
+  std::unordered_map<double, std::vector<int32_t>> hashed;  // key -> tuples
+  hashed.reserve(build.count());
+  for (size_t b = 0; b < build.count(); ++b) {
+    hashed[value(build, b, keys[0].build_pos, keys[0].build_col)].push_back(
+        static_cast<int32_t>(b));
   }
-  return Executor::Filter(table, local);
+  for (size_t p = 0; p < probe.count(); ++p) {
+    const auto it =
+        hashed.find(value(probe, p, keys[0].probe_pos, keys[0].probe_col));
+    if (it == hashed.end()) continue;
+    for (const int32_t b : it->second) {
+      const size_t bt = static_cast<size_t>(b);
+      bool ok = true;
+      for (size_t k = 1; k < keys.size() && ok; ++k) {
+        ok = value(probe, p, keys[k].probe_pos, keys[k].probe_col) ==
+             value(build, bt, keys[k].build_pos, keys[k].build_col);
+      }
+      if (ok) on_match(p, bt);
+    }
+  }
+  return common::Status::Ok();
 }
 
-struct JoinStep {
-  int hash_col_new = -1;    // column of the new table used as hash key
-  int hash_slot_old = -1;   // tuple slot of the existing side
-  int hash_col_old = -1;    // column of the existing side
-  // Additional join predicates between the new table and existing slots,
-  // verified after the hash probe.
-  struct Verify {
-    int col_new;
-    int slot_old;
-    int col_old;
-  };
-  std::vector<Verify> verify;
-};
+// The first slot outside `joined` that shares a join edge with it, or -1.
+int NextSlot(const Query& q, const TupleSet& joined) {
+  for (int t = 0; t < static_cast<int>(q.tables.size()); ++t) {
+    if (joined.PosOf(t) >= 0) continue;
+    for (const JoinPredicate& j : q.joins) {
+      if ((j.left.table == t && joined.PosOf(j.right.table) >= 0) ||
+          (j.right.table == t && joined.PosOf(j.left.table) >= 0)) {
+        return t;
+      }
+    }
+  }
+  return -1;
+}
+
+// Left-deep fold over a query of two or more tables: starting from slot 0,
+// each step probes the joined set with the scan of the first unjoined slot
+// connected to it. Returns the last step's (probe, build) unjoined, for the
+// caller to materialize or count.
+common::StatusOr<std::pair<TupleSet, TupleSet>> LeftDeep(
+    const JoinEngine& engine) {
+  const size_t n = engine.query().tables.size();
+  QFCARD_ASSIGN_OR_RETURN(TupleSet joined, engine.Scan(0));
+  for (size_t step = 1;; ++step) {
+    const int next = NextSlot(engine.query(), joined);
+    if (next < 0) {
+      return common::Status::InvalidArgument(
+          "join graph is disconnected (cross products unsupported)");
+    }
+    QFCARD_ASSIGN_OR_RETURN(TupleSet build, engine.Scan(next));
+    if (step + 1 == n) {
+      return std::make_pair(std::move(joined), std::move(build));
+    }
+    QFCARD_ASSIGN_OR_RETURN(joined, engine.HashJoin(joined, build));
+  }
+}
 
 }  // namespace
 
-common::StatusOr<int64_t> JoinExecutor::Count(const storage::Catalog& catalog,
+int TupleSet::PosOf(int slot) const {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i] == slot) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+common::StatusOr<JoinEngine> JoinEngine::Open(const storage::Catalog& catalog,
                                               const Query& q) {
   QFCARD_RETURN_IF_ERROR(ValidateQuery(q, catalog));
   std::vector<const storage::Table*> tables;
@@ -69,245 +124,132 @@ common::StatusOr<int64_t> JoinExecutor::Count(const storage::Catalog& catalog,
     QFCARD_ASSIGN_OR_RETURN(const storage::Table* t, catalog.GetTable(ref.name));
     tables.push_back(t);
   }
-  if (tables.size() == 1) {
-    QFCARD_ASSIGN_OR_RETURN(const std::vector<int32_t> rows,
-                            FilterTable(*tables[0], q, 0));
-    return static_cast<int64_t>(rows.size());
+  return JoinEngine(&q, std::move(tables));
+}
+
+common::StatusOr<TupleSet> JoinEngine::Scan(int slot) const {
+  if (slot < 0 || slot >= static_cast<int>(tables_.size())) {
+    return common::Status::OutOfRange("table slot out of range");
   }
+  TupleSet out;
+  out.slots.push_back(slot);
+  QFCARD_ASSIGN_OR_RETURN(out.rows, Executor::Filter(table(slot), *q_, slot));
+  return out;
+}
 
-  // Push selections below the joins.
-  std::vector<std::vector<int32_t>> filtered(tables.size());
-  for (size_t t = 0; t < tables.size(); ++t) {
-    QFCARD_ASSIGN_OR_RETURN(filtered[t],
-                            FilterTable(*tables[t], q, static_cast<int>(t)));
-    if (filtered[t].empty()) return 0;
-  }
+common::StatusOr<TupleSet> JoinEngine::HashJoin(const TupleSet& probe,
+                                                const TupleSet& build) const {
+  TupleSet out;
+  out.slots = probe.slots;
+  out.slots.insert(out.slots.end(), build.slots.begin(), build.slots.end());
+  const size_t ps = probe.stride();
+  const size_t bs = build.stride();
+  const auto append = [&](size_t p, size_t b) {
+    const auto probe_tuple = probe.rows.begin() + static_cast<long>(p * ps);
+    const auto build_tuple = build.rows.begin() + static_cast<long>(b * bs);
+    out.rows.insert(out.rows.end(), probe_tuple,
+                    probe_tuple + static_cast<long>(ps));
+    out.rows.insert(out.rows.end(), build_tuple,
+                    build_tuple + static_cast<long>(bs));
+  };
+  QFCARD_RETURN_IF_ERROR(ForEachMatch(*this, probe, build, append));
+  return out;
+}
 
-  TupleSet tuples;
-  tuples.table_indices.push_back(0);
-  tuples.rows = filtered[0];
-
-  std::vector<bool> joined(tables.size(), false);
-  joined[0] = true;
-  for (size_t joined_count = 1; joined_count < tables.size(); ++joined_count) {
-    // Pick the next unjoined table connected to the current tuple set.
-    int next = -1;
-    JoinStep step;
-    for (size_t t = 0; t < tables.size() && next < 0; ++t) {
-      if (joined[t]) continue;
-      step = JoinStep{};
-      for (const JoinPredicate& j : q.joins) {
-        int col_new = -1;
-        int other_table = -1;
-        int col_old = -1;
-        if (j.left.table == static_cast<int>(t) && joined[static_cast<size_t>(j.right.table)]) {
-          col_new = j.left.column;
-          other_table = j.right.table;
-          col_old = j.right.column;
-        } else if (j.right.table == static_cast<int>(t) &&
-                   joined[static_cast<size_t>(j.left.table)]) {
-          col_new = j.right.column;
-          other_table = j.left.table;
-          col_old = j.left.column;
-        } else {
-          continue;
-        }
-        const int slot_old = tuples.SlotOf(other_table);
-        if (step.hash_col_new < 0) {
-          step.hash_col_new = col_new;
-          step.hash_slot_old = slot_old;
-          step.hash_col_old = col_old;
-        } else {
-          step.verify.push_back({col_new, slot_old, col_old});
-        }
-      }
-      if (step.hash_col_new >= 0) next = static_cast<int>(t);
-    }
-    if (next < 0) {
+common::StatusOr<JoinCount> JoinEngine::CountResult(
+    const TupleSet& probe, const TupleSet* build) const {
+  // Where each grouping column lives: a position of the probe or the build
+  // tuple.
+  struct GroupRef {
+    bool in_build;
+    size_t pos;
+    const storage::Column* col;
+  };
+  std::vector<GroupRef> group;
+  for (const ColumnRef& g : q_->group_by) {
+    const int pp = probe.PosOf(g.table);
+    const int bp = build == nullptr ? -1 : build->PosOf(g.table);
+    if (pp < 0 && bp < 0) {
       return common::Status::InvalidArgument(
-          "join graph is disconnected (cross products unsupported)");
+          "GROUP BY column outside the joined tables");
     }
-
-    // Build: hash the new table's filtered rows on the join key.
-    const storage::Table& new_tab = *tables[static_cast<size_t>(next)];
-    // qfcard-lint: ok(unordered-container): lookup-only hash-join build side; output
-    // tuple order is probe order, per-key lists keep build scan order, and
-    // the map is never iterated.
-    std::unordered_map<double, std::vector<int32_t>> build;
-    build.reserve(filtered[static_cast<size_t>(next)].size());
-    for (const int32_t r : filtered[static_cast<size_t>(next)]) {
-      build[new_tab.column(step.hash_col_new).Get(r)].push_back(r);
-    }
-
-    // Probe with existing tuples.
-    const size_t stride = tuples.stride();
-    TupleSet out;
-    out.table_indices = tuples.table_indices;
-    out.table_indices.push_back(next);
-    const bool last = joined_count + 1 == tables.size();
-    int64_t match_count = 0;
-    for (size_t i = 0; i < tuples.rows.size(); i += stride) {
-      const int32_t old_row =
-          tuples.rows[i + static_cast<size_t>(step.hash_slot_old)];
-      const double key = tables[static_cast<size_t>(
-                                    tuples.table_indices[static_cast<size_t>(
-                                        step.hash_slot_old)])]
-                             ->column(step.hash_col_old)
-                             .Get(old_row);
-      const auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (const int32_t new_row : it->second) {
-        bool ok = true;
-        for (const JoinStep::Verify& v : step.verify) {
-          const int32_t vs_row = tuples.rows[i + static_cast<size_t>(v.slot_old)];
-          const double lhs = new_tab.column(v.col_new).Get(new_row);
-          const double rhs =
-              tables[static_cast<size_t>(
-                         tuples.table_indices[static_cast<size_t>(v.slot_old)])]
-                  ->column(v.col_old)
-                  .Get(vs_row);
-          if (lhs != rhs) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) continue;
-        if (last) {
-          ++match_count;
-        } else {
-          out.rows.insert(out.rows.end(), tuples.rows.begin() + static_cast<long>(i),
-                          tuples.rows.begin() + static_cast<long>(i + stride));
-          out.rows.push_back(new_row);
-        }
-      }
-    }
-    if (last) return match_count;
-    joined[static_cast<size_t>(next)] = true;
-    tuples = std::move(out);
-    if (tuples.rows.empty()) return 0;
+    group.push_back({pp < 0, static_cast<size_t>(pp < 0 ? bp : pp),
+                     &table(g.table).column(g.column)});
   }
-  return static_cast<int64_t>(tuples.count());
+
+  JoinCount count;
+  std::vector<std::vector<double>> keys;
+  const auto count_tuple = [&](size_t p, size_t b) {
+    ++count.tuples;
+    if (group.empty()) return;
+    std::vector<double> key;
+    key.reserve(group.size());
+    for (const GroupRef& g : group) {
+      const TupleSet& side = g.in_build ? *build : probe;
+      const size_t tuple = g.in_build ? b : p;
+      key.push_back(g.col->Get(side.rows[tuple * side.stride() + g.pos]));
+    }
+    keys.push_back(std::move(key));
+  };
+  if (build == nullptr) {
+    for (size_t p = 0; p < probe.count(); ++p) count_tuple(p, 0);
+  } else {
+    QFCARD_RETURN_IF_ERROR(ForEachMatch(*this, probe, *build, count_tuple));
+  }
+  if (group.empty()) {
+    count.result = count.tuples;
+    return count;
+  }
+  // Grouping keys are compared exactly, as in Executor::Count.
+  std::sort(keys.begin(), keys.end());
+  count.result = static_cast<int64_t>(
+      std::unique(keys.begin(), keys.end()) - keys.begin());
+  return count;
+}
+
+common::StatusOr<int64_t> JoinExecutor::Count(const storage::Catalog& catalog,
+                                              const Query& q) {
+  QFCARD_ASSIGN_OR_RETURN(const JoinEngine engine,
+                          JoinEngine::Open(catalog, q));
+  if (q.tables.size() == 1) return Executor::Count(engine.table(0), q);
+  QFCARD_ASSIGN_OR_RETURN(const auto last, LeftDeep(engine));
+  QFCARD_ASSIGN_OR_RETURN(const JoinCount count,
+                          engine.CountResult(last.first, &last.second));
+  return count.result;
 }
 
 common::StatusOr<storage::Table> JoinExecutor::Materialize(
     const storage::Catalog& catalog,
     const std::vector<std::string>& table_names, const SchemaGraph& graph) {
-  if (table_names.empty()) {
-    return common::Status::InvalidArgument("no tables to materialize");
-  }
-  if (!graph.IsConnected(table_names) && table_names.size() > 1) {
-    return common::Status::InvalidArgument(
-        "tables are not connected by key/foreign-key edges");
-  }
   Query q;
   for (const std::string& name : table_names) {
     q.tables.push_back(TableRef{name, name});
   }
   QFCARD_RETURN_IF_ERROR(graph.PopulateJoins(catalog, q));
-
-  std::vector<const storage::Table*> tables;
-  for (const TableRef& ref : q.tables) {
-    QFCARD_ASSIGN_OR_RETURN(const storage::Table* t, catalog.GetTable(ref.name));
-    tables.push_back(t);
-  }
-
-  // Join all tables, materializing full tuples (same machinery as Count but
-  // without the last-step shortcut and without selections).
+  QFCARD_ASSIGN_OR_RETURN(const JoinEngine engine,
+                          JoinEngine::Open(catalog, q));
   TupleSet tuples;
-  tuples.table_indices.push_back(0);
-  tuples.rows.resize(static_cast<size_t>(tables[0]->num_rows()));
-  for (int64_t i = 0; i < tables[0]->num_rows(); ++i) {
-    tuples.rows[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+  if (q.tables.size() == 1) {
+    QFCARD_ASSIGN_OR_RETURN(tuples, engine.Scan(0));
+  } else {
+    QFCARD_ASSIGN_OR_RETURN(const auto last, LeftDeep(engine));
+    QFCARD_ASSIGN_OR_RETURN(tuples, engine.HashJoin(last.first, last.second));
   }
 
-  std::vector<bool> joined(tables.size(), false);
-  joined[0] = true;
-  for (size_t joined_count = 1; joined_count < tables.size(); ++joined_count) {
-    int next = -1;
-    int hash_col_new = -1;
-    int hash_slot_old = -1;
-    int hash_col_old = -1;
-    for (size_t t = 0; t < tables.size() && next < 0; ++t) {
-      if (joined[t]) continue;
-      for (const JoinPredicate& j : q.joins) {
-        if (j.left.table == static_cast<int>(t) &&
-            joined[static_cast<size_t>(j.right.table)]) {
-          next = static_cast<int>(t);
-          hash_col_new = j.left.column;
-          hash_slot_old = tuples.SlotOf(j.right.table);
-          hash_col_old = j.right.column;
-          break;
-        }
-        if (j.right.table == static_cast<int>(t) &&
-            joined[static_cast<size_t>(j.left.table)]) {
-          next = static_cast<int>(t);
-          hash_col_new = j.right.column;
-          hash_slot_old = tuples.SlotOf(j.left.table);
-          hash_col_old = j.left.column;
-          break;
-        }
-      }
-    }
-    if (next < 0) {
-      return common::Status::InvalidArgument(
-          "join graph is disconnected (cross products unsupported)");
-    }
-    const storage::Table& new_tab = *tables[static_cast<size_t>(next)];
-    // qfcard-lint: ok(unordered-container): lookup-only hash-join build side, as in
-    // Count above; materialized row order follows the probe scan.
-    std::unordered_map<double, std::vector<int32_t>> build;
-    for (int64_t r = 0; r < new_tab.num_rows(); ++r) {
-      build[new_tab.column(hash_col_new).Get(r)].push_back(
-          static_cast<int32_t>(r));
-    }
-    const size_t stride = tuples.stride();
-    TupleSet out;
-    out.table_indices = tuples.table_indices;
-    out.table_indices.push_back(next);
-    for (size_t i = 0; i < tuples.rows.size(); i += stride) {
-      const int32_t old_row =
-          tuples.rows[i + static_cast<size_t>(hash_slot_old)];
-      const double key =
-          tables[static_cast<size_t>(tuples.table_indices[static_cast<size_t>(
-                     hash_slot_old)])]
-              ->column(hash_col_old)
-              .Get(old_row);
-      const auto it = build.find(key);
-      if (it == build.end()) continue;
-      for (const int32_t new_row : it->second) {
-        out.rows.insert(out.rows.end(), tuples.rows.begin() + static_cast<long>(i),
-                        tuples.rows.begin() + static_cast<long>(i + stride));
-        out.rows.push_back(new_row);
-      }
-    }
-    joined[static_cast<size_t>(next)] = true;
-    tuples = std::move(out);
-  }
-
-  // Gather columns. Output column order follows table_names; names are
-  // "<table>.<column>".
+  // Output column order follows table_names; names are "<table>.<column>".
   storage::Table result(SubSchemaKey(table_names));
   const size_t stride = tuples.stride();
-  const size_t n_out = tuples.count();
-  for (size_t t = 0; t < table_names.size(); ++t) {
-    // slot of this table in the tuple layout
-    int slot = -1;
-    for (size_t s = 0; s < tuples.table_indices.size(); ++s) {
-      if (q.tables[static_cast<size_t>(tuples.table_indices[s])].name ==
-          table_names[t]) {
-        slot = static_cast<int>(s);
-        break;
-      }
-    }
-    QFCARD_ASSIGN_OR_RETURN(const storage::Table* src,
-                            catalog.GetTable(table_names[t]));
-    for (int c = 0; c < src->num_columns(); ++c) {
-      const storage::Column& src_col = src->column(c);
-      storage::Column col(table_names[t] + "." + src_col.name(),
+  for (int t = 0; t < static_cast<int>(table_names.size()); ++t) {
+    const size_t pos = static_cast<size_t>(tuples.PosOf(t));
+    const storage::Table& src = engine.table(t);
+    for (int c = 0; c < src.num_columns(); ++c) {
+      const storage::Column& src_col = src.column(c);
+      storage::Column col(q.tables[static_cast<size_t>(t)].name + "." +
+                              src_col.name(),
                           src_col.type());
-      col.Reserve(n_out);
-      for (size_t i = 0; i < tuples.rows.size(); i += stride) {
-        col.Append(src_col.Get(tuples.rows[i + static_cast<size_t>(slot)]));
+      col.Reserve(tuples.count());
+      for (size_t i = pos; i < tuples.rows.size(); i += stride) {
+        col.Append(src_col.Get(tuples.rows[i]));
       }
       if (src_col.has_dictionary()) col.SetDictionary(src_col.dictionary());
       QFCARD_RETURN_IF_ERROR(result.AddColumn(std::move(col)));

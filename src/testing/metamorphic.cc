@@ -7,7 +7,6 @@
 
 #include "common/str_util.h"
 #include "estimators/true_card.h"
-#include "query/executor.h"
 #include "query/join_executor.h"
 
 namespace qfcard::testing {
@@ -228,14 +227,8 @@ common::Status CheckTrueCardExact(const storage::Catalog& catalog,
                                   const query::Query& q) {
   const est::TrueCardEstimator oracle(&catalog);
   QFCARD_ASSIGN_OR_RETURN(const double estimate, oracle.EstimateCard(q));
-  int64_t count = 0;
-  if (q.tables.size() == 1 && q.joins.empty()) {
-    QFCARD_ASSIGN_OR_RETURN(const storage::Table* table,
-                            catalog.GetTable(q.tables[0].name));
-    QFCARD_ASSIGN_OR_RETURN(count, query::Executor::Count(*table, q));
-  } else {
-    QFCARD_ASSIGN_OR_RETURN(count, query::JoinExecutor::Count(catalog, q));
-  }
+  QFCARD_ASSIGN_OR_RETURN(const int64_t count,
+                          query::JoinExecutor::Count(catalog, q));
   if (estimate != static_cast<double>(count)) {
     return Violation("true-card-exact", static_cast<double>(count), estimate);
   }

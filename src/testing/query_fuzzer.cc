@@ -127,6 +127,20 @@ class Fuzzer {
                   disagree);
   }
 
+  // No generator emits a GROUP BY join, so every checked join query is also
+  // differentially checked grouped by its first join's left column. The
+  // variant is derived from `q` alone and draws no random numbers, so the
+  // round's query stream is unchanged.
+  void CheckGroupedJoinDifferential(const query::Query& q,
+                                    const storage::Catalog& catalog,
+                                    int round, const CountFn& engine,
+                                    const CountFn& ref) {
+    if (q.joins.empty()) return;
+    query::Query grouped = q;
+    grouped.group_by = {q.joins[0].left};
+    CheckExecutorDifferential(grouped, catalog, round, engine, ref);
+  }
+
   // Parser round trip: ToSql must be printable, Parse(ToSql(q)) must be
   // structurally identical to q (all generated literals are integral, so no
   // formatting precision is lost), and ToSql must be a fixed point.
@@ -448,10 +462,7 @@ class Fuzzer {
         *inst.catalog.GetTable(inst.primary_table).value();
 
     const CountFn engine = [&](const query::Query& cand) {
-      if (cand.tables.size() > 1) {
-        return query::JoinExecutor::Count(inst.catalog, cand);
-      }
-      return query::Executor::Count(table, cand);
+      return query::JoinExecutor::Count(inst.catalog, cand);
     };
     const CountFn reference = [&](const query::Query& cand) {
       if (cand.tables.size() > 1) {
@@ -475,6 +486,8 @@ class Fuzzer {
       ++report_.queries;
       if (opts_.check_executor) {
         CheckExecutorDifferential(q, inst.catalog, round, engine, reference);
+        CheckGroupedJoinDifferential(q, inst.catalog, round, engine,
+                                     reference);
         ++report_.checks;
         const common::StatusOr<int64_t> fresh = engine(q);
         if (!fresh.ok() ||
@@ -531,6 +544,7 @@ class Fuzzer {
       const uint64_t qseed = rng.Next();
       if (opts_.check_executor) {
         CheckExecutorDifferential(q, db.catalog, round, engine, reference);
+        CheckGroupedJoinDifferential(q, db.catalog, round, engine, reference);
       }
       if (opts_.check_parser) CheckParserRoundTrip(q, db.catalog, round);
       if (opts_.check_metamorphic) {

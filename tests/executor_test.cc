@@ -2,9 +2,11 @@
 
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "optimizer/plan_executor.h"
 #include "query/join_executor.h"
 #include "query/schema_graph.h"
 #include "test_util.h"
+#include "testing/reference_eval.h"
 
 namespace qfcard::query {
 namespace {
@@ -68,14 +70,42 @@ TEST(ExecutorTest, RejectsJoinQueries) {
             common::StatusCode::kInvalidArgument);
 }
 
+TEST(ExecutorTest, RejectsOutOfRangeColumns) {
+  const storage::Table t = SmallTable();  // 2 columns
+  Query grouped = SingleTableQuery("small");
+  grouped.group_by.push_back(ColumnRef{0, 7});
+  EXPECT_EQ(Executor::Count(t, grouped).status().code(),
+            common::StatusCode::kOutOfRange);
+  // A simple predicate is evaluated on its own column, not its compound's.
+  Query filtered = SingleTableQuery("small");
+  AddCompound(filtered, 0, {{{CmpOp::kEq, 4}}});
+  filtered.predicates[0].disjuncts[0].preds[0].col.column = 7;
+  EXPECT_EQ(Executor::Count(t, filtered).status().code(),
+            common::StatusCode::kOutOfRange);
+}
+
 TEST(ExecutorTest, FilterReturnsRowIds) {
   const storage::Table t = SmallTable();
   Query q = SingleTableQuery("small");
   AddCompound(q, 0, {{{CmpOp::kEq, 4}}});
-  const auto rows_or = Executor::Filter(t, q);
+  const auto rows_or = Executor::Filter(t, q, 0);
   ASSERT_TRUE(rows_or.ok());
   ASSERT_EQ(rows_or.value().size(), 1u);
   EXPECT_EQ(rows_or.value()[0], 4);
+}
+
+TEST(ExecutorTest, FilterAppliesOnlyItsSlotsPredicates) {
+  const storage::Table t = SmallTable();
+  Query q = SingleTableQuery("small");
+  q.tables.push_back(TableRef{"small", "other"});
+  AddCompound(q, 0, {{{CmpOp::kLe, 1}}});  // slot 0: a <= 1
+  CompoundPredicate cp;
+  cp.col = ColumnRef{1, 0};  // slot 1: a >= 8
+  cp.disjuncts.push_back(
+      ConjunctiveClause{{SimplePredicate{cp.col, CmpOp::kGe, 8}}});
+  q.predicates.push_back(cp);
+  EXPECT_EQ(Executor::Filter(t, q, 0).value(), (std::vector<int32_t>{0, 1}));
+  EXPECT_EQ(Executor::Filter(t, q, 1).value(), (std::vector<int32_t>{8, 9}));
 }
 
 TEST(ExecutorTest, GroupByCountsGroups) {
@@ -213,6 +243,65 @@ TEST(JoinExecutorTest, SingleTableFallback) {
   Query q;
   q.tables.push_back(TableRef{"orders", "orders"});
   EXPECT_EQ(JoinExecutor::Count(cat, q).value(), 6);
+}
+
+// A plan whose root joins leaf slot 0 with leaf slot 1, or a lone leaf.
+opt::JoinPlan TwoLeafPlan() {
+  opt::JoinPlan plan;
+  plan.nodes.resize(3);
+  plan.nodes[0].table = 0;
+  plan.nodes[1].table = 1;
+  plan.nodes[2].left = 0;
+  plan.nodes[2].right = 1;
+  plan.root = 2;
+  return plan;
+}
+
+opt::JoinPlan LeafPlan() {
+  opt::JoinPlan plan;
+  plan.nodes.resize(1);
+  plan.nodes[0].table = 0;
+  plan.root = 0;
+  return plan;
+}
+
+TEST(JoinExecutorTest, OneTableGroupByCountsGroups) {
+  const storage::Catalog cat = MakeJoinCatalog();
+  Query q;
+  q.tables.push_back(TableRef{"orders", "orders"});
+  q.group_by.push_back(ColumnRef{0, 1});  // cust_id in {0, 1, 2, 9}
+  const auto ref = testing::ReferenceJoinCount(cat, q);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_EQ(ref.value(), 4);
+  EXPECT_EQ(JoinExecutor::Count(cat, q).value(), ref.value());
+  const auto exec = opt::ExecutePlan(cat, q, LeafPlan());
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  EXPECT_EQ(exec.value().result_rows, ref.value());
+}
+
+TEST(JoinExecutorTest, JoinGroupByCountsGroupsNotTuples) {
+  const storage::Catalog cat = MakeJoinCatalog();
+  Query q = MakeJoinQuery();
+  q.group_by.push_back(ColumnRef{1, 1});  // customers.region in {10, 20}
+  const auto ref = testing::ReferenceJoinCount(cat, q);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_EQ(ref.value(), 2);
+  EXPECT_EQ(JoinExecutor::Count(cat, q).value(), ref.value());
+  const auto exec = opt::ExecutePlan(cat, q, TwoLeafPlan());
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  EXPECT_EQ(exec.value().result_rows, ref.value());
+  // The realized C_out still sums join tuples: 5 orders find a customer.
+  EXPECT_DOUBLE_EQ(exec.value().intermediate_rows, 5.0);
+}
+
+TEST(JoinExecutorTest, PlanWithOutOfRangeJoinColumnRejected) {
+  const storage::Catalog cat = MakeJoinCatalog();
+  Query q = MakeJoinQuery();
+  q.joins[0].left.column = 7;  // orders has 3 columns
+  EXPECT_EQ(JoinExecutor::Count(cat, q).status().code(),
+            common::StatusCode::kOutOfRange);
+  EXPECT_EQ(opt::ExecutePlan(cat, q, TwoLeafPlan()).status().code(),
+            common::StatusCode::kOutOfRange);
 }
 
 TEST(JoinExecutorTest, MaterializeProducesJoinedTable) {
