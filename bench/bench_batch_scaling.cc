@@ -1,6 +1,7 @@
-// Batch-API scaling: wall-clock of the pipeline stages (labeling,
-// featurization, batched estimation) at 1 thread vs N threads, asserting on
-// the way that every parallel result is byte-identical to the serial one.
+// Batch-API scaling: wall-clock of the pipeline stages (labeling of a
+// conjunctive and of a mixed draw, featurization, batched estimation) at
+// 1 thread vs N threads, asserting on the way that every parallel result is
+// byte-identical to the serial one.
 // N defaults to the hardware concurrency; override with QFCARD_THREADS.
 // Speedup is ~1x on a single-core machine by construction.
 
@@ -17,35 +18,60 @@ namespace {
 
 struct StageTimes {
   double label_s = 0.0;
+  double label_mixed_s = 0.0;
   double featurize_s = 0.0;
   double gb_batch_s = 0.0;
   double sampling_batch_s = 0.0;
 };
 
-// Runs the three pipeline stages at the current global pool size.
+// Per-stage outputs of one pipeline run, compared across thread counts.
+struct StageOutputs {
+  std::vector<double> cards;
+  std::vector<double> mixed_cards;
+  ml::Matrix features;
+  std::vector<double> gb_ests;
+  std::vector<double> sampling_ests;
+};
+
+std::vector<double> Cards(const std::vector<workload::LabeledQuery>& labeled) {
+  std::vector<double> cards;
+  for (const workload::LabeledQuery& lq : labeled) cards.push_back(lq.card);
+  return cards;
+}
+
+// Runs the pipeline stages at the current global pool size. `queries` are
+// conjunctive; `mixed_queries` are labeled too, so the disjunction path of
+// the executor is timed.
 StageTimes RunPipeline(const ForestBundle& bundle,
                        const std::vector<query::Query>& queries,
+                       const std::vector<query::Query>& mixed_queries,
                        const est::CardinalityEstimator& gb,
-                       std::vector<workload::LabeledQuery>* labeled,
-                       ml::Matrix* features, std::vector<double>* gb_ests,
-                       std::vector<double>* sampling_ests) {
+                       StageOutputs* out) {
   StageTimes times;
   {
     obs::ScopedTimer timer;
-    *labeled = workload::LabelOnTable(*bundle.forest, queries, false).value();
+    out->cards = Cards(
+        workload::LabelOnTable(*bundle.forest, queries, false).value());
     times.label_s = timer.Seconds();
   }
   {
+    obs::ScopedTimer timer;
+    out->mixed_cards = Cards(
+        workload::LabelOnTable(*bundle.forest, mixed_queries, false).value());
+    times.label_mixed_s = timer.Seconds();
+  }
+  {
     const auto featurizer = MakeQft("conjunctive", bundle.schema);
-    *features = ml::Matrix(static_cast<int>(queries.size()), featurizer->dim());
+    out->features =
+        ml::Matrix(static_cast<int>(queries.size()), featurizer->dim());
     obs::ScopedTimer timer;
     QFCARD_CHECK_OK(featurizer->FeaturizeBatch(
-        {queries.data(), queries.size()}, features->data().data()));
+        {queries.data(), queries.size()}, out->features.data().data()));
     times.featurize_s = timer.Seconds();
   }
   {
     obs::ScopedTimer timer;
-    *gb_ests = gb.EstimateBatch(queries).value();
+    out->gb_ests = gb.EstimateBatch(queries).value();
     times.gb_batch_s = timer.Seconds();
   }
   {
@@ -54,7 +80,7 @@ StageTimes RunPipeline(const ForestBundle& bundle,
     const std::unique_ptr<est::CardinalityEstimator> sampling =
         est::MakeEstimator("sampling", bundle.catalog).value();
     obs::ScopedTimer timer;
-    *sampling_ests = sampling->EstimateBatch(queries).value();
+    out->sampling_ests = sampling->EstimateBatch(queries).value();
     times.sampling_batch_s = timer.Seconds();
   }
   return times;
@@ -71,8 +97,9 @@ void CheckIdentical(const std::vector<T>& serial, const std::vector<T>& parallel
 
 // Writes the kind="batch_scaling" trajectory report (tools/bench_schema.json)
 // CI archives as BENCH_batch_scaling.json: per-stage serial/parallel seconds
-// plus the query count, as flat {name, unit, value} metric rows.
-bool WriteBenchmarkOut(const std::string& path, size_t queries, int threads,
+// plus the query counts, as flat {name, unit, value} metric rows.
+bool WriteBenchmarkOut(const std::string& path, size_t queries,
+                       size_t mixed_queries, int threads,
                        const StageTimes& serial, const StageTimes& parallel) {
   std::ofstream out(path);
   if (!out) return false;
@@ -84,6 +111,9 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries, int threads,
   json += ",\"metrics\":[";
   json += common::StrFormat(
       "{\"name\":\"queries\",\"unit\":\"count\",\"value\":%zu}", queries);
+  json += common::StrFormat(
+      ",{\"name\":\"mixed_queries\",\"unit\":\"count\",\"value\":%zu}",
+      mixed_queries);
   const auto stage = [&json](const char* name, double s1, double sn) {
     json += common::StrFormat(
         ",{\"name\":\"%s_seconds_serial\",\"unit\":\"seconds\","
@@ -96,6 +126,7 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries, int threads,
         sn > 0 ? s1 / sn : 0.0);
   };
   stage("label", serial.label_s, parallel.label_s);
+  stage("label_mixed", serial.label_mixed_s, parallel.label_mixed_s);
   stage("featurize", serial.featurize_s, parallel.featurize_s);
   stage("gb_batch", serial.gb_batch_s, parallel.gb_batch_s);
   stage("sampling_batch", serial.sampling_batch_s, parallel.sampling_batch_s);
@@ -112,14 +143,20 @@ void Run(const std::string& benchmark_out) {
   }
 
   ForestBundle bundle = MakeForestBundle(/*need_conj=*/true,
-                                         /*need_mixed=*/false);
-  std::vector<query::Query> queries;
-  for (const workload::LabeledQuery& lq : bundle.conj_train) {
-    queries.push_back(lq.query);
-  }
-  for (const workload::LabeledQuery& lq : bundle.conj_test) {
-    queries.push_back(lq.query);
-  }
+                                         /*need_mixed=*/true);
+  const auto train_and_test =
+      [](const std::vector<workload::LabeledQuery>& train,
+         const std::vector<workload::LabeledQuery>& test) {
+        std::vector<query::Query> out;
+        for (const auto* set : {&train, &test}) {
+          for (const workload::LabeledQuery& lq : *set) out.push_back(lq.query);
+        }
+        return out;
+      };
+  const std::vector<query::Query> queries =
+      train_and_test(bundle.conj_train, bundle.conj_test);
+  const std::vector<query::Query> mixed_queries =
+      train_and_test(bundle.mixed_train, bundle.mixed_test);
 
   // Train one GB estimator serially; both timing runs share it.
   common::SetGlobalThreads(1);
@@ -127,34 +164,26 @@ void Run(const std::string& benchmark_out) {
       est::MakeEstimator("gb+conj", bundle.catalog, DefaultEstimatorOptions())
           .value();
   {
-    std::vector<double> cards;
-    for (const workload::LabeledQuery& lq : bundle.conj_train) {
-      cards.push_back(lq.card);
-    }
     std::vector<query::Query> train_queries(
         queries.begin(), queries.begin() + bundle.conj_train.size());
-    QFCARD_CHECK_OK(gb->Train(train_queries, cards, 0.1, 7));
+    QFCARD_CHECK_OK(gb->Train(train_queries, Cards(bundle.conj_train), 0.1, 7));
   }
 
-  std::vector<workload::LabeledQuery> labeled1, labeledN;
-  ml::Matrix feat1, featN;
-  std::vector<double> gb1, gbN, samp1, sampN;
-
+  StageOutputs out1, outN;
   common::SetGlobalThreads(1);
   const StageTimes serial =
-      RunPipeline(bundle, queries, *gb, &labeled1, &feat1, &gb1, &samp1);
+      RunPipeline(bundle, queries, mixed_queries, *gb, &out1);
   common::SetGlobalThreads(threads);
   const StageTimes parallel =
-      RunPipeline(bundle, queries, *gb, &labeledN, &featN, &gbN, &sampN);
+      RunPipeline(bundle, queries, mixed_queries, *gb, &outN);
   common::SetGlobalThreads(1);
 
-  std::vector<double> cards1, cardsN;
-  for (const auto& lq : labeled1) cards1.push_back(lq.card);
-  for (const auto& lq : labeledN) cardsN.push_back(lq.card);
-  CheckIdentical(cards1, cardsN, "labeling");
-  CheckIdentical(feat1.data(), featN.data(), "featurization");
-  CheckIdentical(gb1, gbN, "GB EstimateBatch");
-  CheckIdentical(samp1, sampN, "Sampling EstimateBatch");
+  CheckIdentical(out1.cards, outN.cards, "labeling");
+  CheckIdentical(out1.mixed_cards, outN.mixed_cards, "mixed labeling");
+  CheckIdentical(out1.features.data(), outN.features.data(), "featurization");
+  CheckIdentical(out1.gb_ests, outN.gb_ests, "GB EstimateBatch");
+  CheckIdentical(out1.sampling_ests, outN.sampling_ests,
+                 "Sampling EstimateBatch");
 
   eval::TablePrinter table({"stage", "1 thread (s)",
                             common::StrFormat("%d threads (s)", threads),
@@ -165,21 +194,23 @@ void Run(const std::string& benchmark_out) {
                   common::StrFormat("%.2fx", sn > 0 ? s1 / sn : 0.0)});
   };
   add("labeling (LabelOnTable)", serial.label_s, parallel.label_s);
+  add("labeling, mixed (LabelOnTable)", serial.label_mixed_s,
+      parallel.label_mixed_s);
   add("featurization (FeaturizeBatch)", serial.featurize_s,
       parallel.featurize_s);
   add("GB EstimateBatch", serial.gb_batch_s, parallel.gb_batch_s);
   add("Sampling EstimateBatch", serial.sampling_batch_s,
       parallel.sampling_batch_s);
 
-  std::printf("Batch pipeline scaling, %zu queries (results byte-identical "
-              "across thread counts)\n",
-              queries.size());
+  std::printf("Batch pipeline scaling, %zu queries and %zu mixed (results "
+              "byte-identical across thread counts)\n",
+              queries.size(), mixed_queries.size());
   table.Print(std::cout);
   eval::PrintTelemetrySnapshot(std::cout);
 
   if (!benchmark_out.empty()) {
-    if (!WriteBenchmarkOut(benchmark_out, queries.size(), threads, serial,
-                           parallel)) {
+    if (!WriteBenchmarkOut(benchmark_out, queries.size(),
+                           mixed_queries.size(), threads, serial, parallel)) {
       std::fprintf(stderr, "FATAL: cannot write %s\n", benchmark_out.c_str());
       std::exit(1);
     }

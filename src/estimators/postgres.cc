@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace qfcard::est {
 
@@ -19,12 +18,20 @@ ColumnSynopsis BuildSynopsis(const storage::Column& col,
   s.distinct = std::max<int64_t>(stats.distinct, 1);
   if (col.size() == 0) return s;
 
+  // One sorted copy serves both statistics. Its runs are the distinct
+  // values in ascending order, each with its count.
+  std::vector<double> sorted = col.data();
+  std::sort(sorted.begin(), sorted.end());
+
   // Most common values.
-  std::map<double, int64_t> freq;
-  for (const double v : col.data()) ++freq[v];
   std::vector<std::pair<int64_t, double>> by_count;
-  by_count.reserve(freq.size());
-  for (const auto& [v, c] : freq) by_count.push_back({c, v});
+  by_count.reserve(static_cast<size_t>(s.distinct));
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    by_count.push_back({static_cast<int64_t>(j - i), sorted[i]});
+    i = j;
+  }
   std::sort(by_count.begin(), by_count.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   const int n_mcv =
@@ -40,8 +47,6 @@ ColumnSynopsis BuildSynopsis(const storage::Column& col,
 
   // Equi-depth histogram over all values (Postgres builds it over non-MCV
   // values; including them only flattens the estimate slightly).
-  std::vector<double> sorted = col.data();
-  std::sort(sorted.begin(), sorted.end());
   const int buckets = std::max(1, options.histogram_buckets);
   s.hist_bounds.push_back(sorted.front());
   for (int b = 1; b <= buckets; ++b) {

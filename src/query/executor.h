@@ -16,8 +16,10 @@ namespace qfcard::query {
 class Executor {
  public:
   /// Returns the row ids of `table`, the table of slot `slot` of `q`, that
-  /// satisfy the compound predicates on that slot; predicates on other
-  /// slots are ignored. Joins push their selections down through it.
+  /// satisfy the compound predicates on that slot, in ascending order;
+  /// predicates on other slots are ignored. Joins push their selections
+  /// down through it. Column-at-a-time: each simple predicate is one
+  /// branch-free compaction of the surviving row ids.
   static common::StatusOr<std::vector<int32_t>> Filter(
       const storage::Table& table, const Query& q, int slot);
 
@@ -27,6 +29,13 @@ class Executor {
   static common::StatusOr<int64_t> Count(const storage::Table& table,
                                          const Query& q);
 };
+
+/// Returns the number of distinct keys in `keys`, a row-major buffer of
+/// `keys.size() / width` keys of `width` values each. Keys are compared
+/// exactly (operator== per value), never by hash: counting distinct 64-bit
+/// hashes undercounts whenever two keys collide. This is the GROUP BY
+/// result size of Executor::Count and JoinEngine::CountResult.
+int64_t CountDistinctKeys(const std::vector<double>& keys, size_t width);
 
 }  // namespace qfcard::query
 

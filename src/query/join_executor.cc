@@ -1,6 +1,5 @@
 #include "query/join_executor.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -178,18 +177,14 @@ common::StatusOr<JoinCount> JoinEngine::CountResult(
   }
 
   JoinCount count;
-  std::vector<std::vector<double>> keys;
+  std::vector<double> keys;  // row-major, group.size() values per tuple
   const auto count_tuple = [&](size_t p, size_t b) {
     ++count.tuples;
-    if (group.empty()) return;
-    std::vector<double> key;
-    key.reserve(group.size());
     for (const GroupRef& g : group) {
       const TupleSet& side = g.in_build ? *build : probe;
       const size_t tuple = g.in_build ? b : p;
-      key.push_back(g.col->Get(side.rows[tuple * side.stride() + g.pos]));
+      keys.push_back(g.col->Get(side.rows[tuple * side.stride() + g.pos]));
     }
-    keys.push_back(std::move(key));
   };
   if (build == nullptr) {
     for (size_t p = 0; p < probe.count(); ++p) count_tuple(p, 0);
@@ -200,10 +195,7 @@ common::StatusOr<JoinCount> JoinEngine::CountResult(
     count.result = count.tuples;
     return count;
   }
-  // Grouping keys are compared exactly, as in Executor::Count.
-  std::sort(keys.begin(), keys.end());
-  count.result = static_cast<int64_t>(
-      std::unique(keys.begin(), keys.end()) - keys.begin());
+  count.result = CountDistinctKeys(keys, group.size());
   return count;
 }
 

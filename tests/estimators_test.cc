@@ -1,6 +1,8 @@
 #include "estimators/postgres.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "common/random.h"
 #include "estimators/iep.h"
@@ -139,6 +141,83 @@ TEST(PostgresEstimatorTest, JoinUsesSystemRFormula) {
   q.joins.push_back(
       query::JoinPredicate{query::ColumnRef{0, 0}, query::ColumnRef{1, 0}});
   EXPECT_NEAR(est_or.value().EstimateCard(q).value(), 6.0, 1e-9);
+}
+
+// The synopsis as BuildSynopsis computed it from a value -> count map plus
+// a second sorted copy: MCVs are the most frequent values (ties broken by
+// std::sort over the ascending-value sequence), then the equi-depth bounds.
+ColumnSynopsis MapReferenceSynopsis(const std::vector<double>& values,
+                                    const PostgresOptions& options) {
+  ColumnSynopsis s;
+  std::map<double, int64_t> freq;
+  for (const double v : values) ++freq[v];
+  std::vector<std::pair<int64_t, double>> by_count;
+  for (const auto& [v, c] : freq) by_count.push_back({c, v});
+  std::sort(by_count.begin(), by_count.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  const size_t n_mcv =
+      std::min(static_cast<size_t>(options.mcv_entries), by_count.size());
+  for (size_t i = 0; i < n_mcv; ++i) {
+    const double f = static_cast<double>(by_count[i].first) /
+                     static_cast<double>(values.size());
+    s.mcv.push_back({by_count[i].second, f});
+    s.mcv_total_freq += f;
+  }
+  std::sort(s.mcv.begin(), s.mcv.end());
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const int buckets = std::max(1, options.histogram_buckets);
+  s.hist_bounds.push_back(sorted.front());
+  for (int b = 1; b <= buckets; ++b) {
+    const size_t pos = static_cast<size_t>(
+        static_cast<double>(b) / buckets *
+        static_cast<double>(sorted.size() - 1));
+    s.hist_bounds.push_back(sorted[pos]);
+  }
+  return s;
+}
+
+TEST(PostgresEstimatorTest, SynopsisMatchesMapReferenceOnTies) {
+  common::Rng rng(41);
+  std::vector<std::vector<double>> columns;
+  // 60 distinct values with only four distinct counts, so the MCV cut at
+  // 20 entries falls inside a run of tied counts.
+  columns.emplace_back();
+  for (int v = 0; v < 60; ++v) {
+    for (int k = 0; k < 3 + v % 4; ++k) columns.back().push_back(v);
+  }
+  rng.Shuffle(columns.back());
+  // Skewed fractional values: a few heavy hitters and a long tail.
+  columns.emplace_back();
+  for (int r = 0; r < 4000; ++r) {
+    const int64_t u = rng.UniformInt(0, 99);
+    columns.back().push_back(u < 50 ? 0.25 * static_cast<double>(u % 5)
+                                    : static_cast<double>(u) / 7.0);
+  }
+  columns.push_back({7, 7, 7, 7, 7});  // one value
+  columns.push_back({-3.5});           // one row
+  for (const PostgresOptions& options :
+       {PostgresOptions{}, PostgresOptions{7, 3}}) {
+    // One table per column: the columns differ in length.
+    storage::Catalog cat;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      storage::Table t("ties" + std::to_string(c));
+      storage::Column col("v", storage::ColumnType::kFloat64);
+      col.AppendBatch(columns[c]);
+      QFCARD_CHECK_OK(t.AddColumn(std::move(col)));
+      QFCARD_CHECK_OK(cat.AddTable(std::move(t)));
+    }
+    const auto est_or = PostgresStyleEstimator::Build(&cat, options);
+    ASSERT_TRUE(est_or.ok());
+    for (int c = 0; c < static_cast<int>(columns.size()); ++c) {
+      const ColumnSynopsis& got = est_or.value().synopsis(c, 0);
+      const ColumnSynopsis want =
+          MapReferenceSynopsis(columns[static_cast<size_t>(c)], options);
+      EXPECT_EQ(got.mcv, want.mcv) << "column " << c;
+      EXPECT_EQ(got.mcv_total_freq, want.mcv_total_freq) << "column " << c;
+      EXPECT_EQ(got.hist_bounds, want.hist_bounds) << "column " << c;
+    }
+  }
 }
 
 TEST(PostgresEstimatorTest, NotEqualReducesRangeSelectivity) {

@@ -1,5 +1,11 @@
 #include "query/executor.h"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
+
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "optimizer/plan_executor.h"
@@ -7,6 +13,9 @@
 #include "query/schema_graph.h"
 #include "test_util.h"
 #include "testing/reference_eval.h"
+#include "workload/forest.h"
+#include "workload/query_gen.h"
+#include "workload/strings.h"
 
 namespace qfcard::query {
 namespace {
@@ -17,20 +26,19 @@ using testutil::IntColumn;
 using testutil::SingleTableQuery;
 using testutil::SmallTable;
 
-// Brute-force reference: evaluate every compound on every row.
-int64_t NaiveCount(const storage::Table& t, const Query& q) {
-  int64_t count = 0;
+// Brute-force reference: the row ids of `slot`'s table satisfying every
+// compound on that slot, by a per-row EvalCompoundOnRow loop.
+std::vector<int32_t> RowLoopFilter(const storage::Table& t, const Query& q,
+                                   int slot) {
+  std::vector<int32_t> rows;
   for (int64_t r = 0; r < t.num_rows(); ++r) {
     bool ok = true;
     for (const CompoundPredicate& cp : q.predicates) {
-      if (!EvalCompoundOnRow(t, r, cp)) {
-        ok = false;
-        break;
-      }
+      if (cp.col.table == slot && !EvalCompoundOnRow(t, r, cp)) ok = false;
     }
-    if (ok) ++count;
+    if (ok) rows.push_back(static_cast<int32_t>(r));
   }
-  return count;
+  return rows;
 }
 
 TEST(ExecutorTest, EmptyPredicateListCountsAllRows) {
@@ -155,12 +163,193 @@ TEST_P(ExecutorFuzzTest, MatchesNaiveEvaluation) {
     }
     const auto count_or = Executor::Count(t, q);
     ASSERT_TRUE(count_or.ok()) << count_or.status();
-    EXPECT_EQ(count_or.value(), NaiveCount(t, q));
+    EXPECT_EQ(count_or.value(),
+              static_cast<int64_t>(RowLoopFilter(t, q, 0).size()));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ---------------------------------------------------------------------------
+// Selection-vector filter, differential
+// ---------------------------------------------------------------------------
+
+// Filter must equal the row loop (same ids, ascending) and Count must equal
+// both the row loop and testing::ReferenceCount.
+void ExpectFilterMatchesReferences(const storage::Table& t, const Query& q) {
+  const auto rows_or = Executor::Filter(t, q, 0);
+  ASSERT_TRUE(rows_or.ok()) << rows_or.status();
+  const std::vector<int32_t> want = RowLoopFilter(t, q, 0);
+  EXPECT_EQ(rows_or.value(), want);
+  const auto count_or = Executor::Count(t, q);
+  ASSERT_TRUE(count_or.ok()) << count_or.status();
+  const auto ref_or = testing::ReferenceCount(t, q);
+  ASSERT_TRUE(ref_or.ok()) << ref_or.status();
+  EXPECT_EQ(count_or.value(), ref_or.value());
+  if (q.group_by.empty()) {
+    EXPECT_EQ(count_or.value(), static_cast<int64_t>(want.size()));
+  }
+}
+
+// Integer column c0 in [0, 20], float column c1 in [-5, 5] with about one
+// NaN in eight rows, and integer column c2 in [0, 3].
+storage::Table NanTable(common::Rng& rng, int64_t rows) {
+  std::vector<double> c0, c1, c2;
+  for (int64_t r = 0; r < rows; ++r) {
+    c0.push_back(static_cast<double>(rng.UniformInt(0, 20)));
+    c1.push_back(rng.UniformInt(0, 7) == 0
+                     ? std::numeric_limits<double>::quiet_NaN()
+                     : 0.5 * static_cast<double>(rng.UniformInt(-10, 10)));
+    c2.push_back(static_cast<double>(rng.UniformInt(0, 3)));
+  }
+  storage::Table t("nan");
+  QFCARD_CHECK_OK(t.AddColumn(IntColumn("c0", c0)));
+  QFCARD_CHECK_OK(t.AddColumn(testutil::FloatColumn("c1", c1)));
+  QFCARD_CHECK_OK(t.AddColumn(IntColumn("c2", c2)));
+  return t;
+}
+
+// A random compound of one to four clauses on `col` over all six operators.
+// A literal is +inf, -inf, 100 (above every value) or a value of the column.
+CompoundPredicate RandomCompound(common::Rng& rng, const storage::Table& t,
+                                 int col) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CompoundPredicate cp;
+  cp.col = ColumnRef{0, col};
+  const int n_clauses = static_cast<int>(rng.UniformInt(1, 4));
+  for (int c = 0; c < n_clauses; ++c) {
+    ConjunctiveClause clause;
+    const int n_preds = static_cast<int>(rng.UniformInt(1, 3));
+    for (int p = 0; p < n_preds; ++p) {
+      const CmpOp op = static_cast<CmpOp>(rng.UniformInt(0, 5));
+      double literal = 0.0;
+      switch (rng.UniformInt(0, 4)) {
+        case 0:
+          literal = kInf;
+          break;
+        case 1:
+          literal = -kInf;
+          break;
+        case 2:
+          literal = 100.0;
+          break;
+        default:
+          literal = t.column(col).Get(rng.UniformInt(0, t.num_rows() - 1));
+          if (std::isnan(literal)) literal = 0.5;  // NaN literals are rejected
+      }
+      clause.preds.push_back(SimplePredicate{cp.col, op, literal});
+    }
+    cp.disjuncts.push_back(std::move(clause));
+  }
+  return cp;
+}
+
+class FilterDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FilterDifferentialTest, AllOperatorsNanValuesAndInfiniteLiterals) {
+  common::Rng rng(GetParam());
+  const storage::Table t = NanTable(rng, 300);
+  for (int iter = 0; iter < 60; ++iter) {
+    Query q = SingleTableQuery("nan");
+    const int n_attrs = static_cast<int>(rng.UniformInt(1, 3));
+    for (const int col : rng.SampleWithoutReplacement(3, n_attrs)) {
+      q.predicates.push_back(RandomCompound(rng, t, col));
+    }
+    // Grouping keys stay NaN-free: NaN has no exact-equality group.
+    if (rng.UniformInt(0, 2) == 0) q.group_by.push_back(ColumnRef{0, 0});
+    if (rng.UniformInt(0, 2) == 0) q.group_by.push_back(ColumnRef{0, 2});
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    ExpectFilterMatchesReferences(t, q);
+  }
+}
+
+TEST_P(FilterDifferentialTest, GeneratedMixedInListAndLikeQueries) {
+  common::Rng rng(GetParam());
+  workload::ForestOptions fopts;
+  fopts.num_rows = 2000;
+  fopts.num_attributes = 6;
+  fopts.seed = GetParam();
+  const storage::Table forest = workload::MakeForestTable(fopts);
+  workload::StringsOptions sopts;
+  sopts.num_rows = 2000;
+  sopts.seed = GetParam();
+  const storage::Table items = workload::MakeStringsTable(sopts);
+
+  workload::PredicateGenOptions mixed = workload::MixedWorkloadOptions(5);
+  mixed.max_group_by_attrs = 2;
+  workload::PredicateGenOptions in_list = workload::MixedWorkloadOptions(5);
+  in_list.in_list_prob = 0.6;
+  workload::PredicateGenOptions like = workload::MixedWorkloadOptions(4);
+  like.like_prob = 0.7;
+  like.in_list_prob = 0.2;
+  for (const auto& [table, opts] :
+       {std::pair{&forest, mixed}, std::pair{&forest, in_list},
+        std::pair{&items, like}}) {
+    for (const Query& q :
+         workload::GeneratePredicateWorkload(*table, 60, opts, rng)) {
+      ExpectFilterMatchesReferences(*table, q);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FilterDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(FilterEdgeCaseTest, EmptyTable) {
+  storage::Table t("nan");
+  QFCARD_CHECK_OK(t.AddColumn(IntColumn("c0", {})));
+  Query q = SingleTableQuery("nan");
+  AddCompound(q, 0, {{{CmpOp::kGe, 1}}, {{CmpOp::kNe, 3}, {CmpOp::kLt, 9}}});
+  ExpectFilterMatchesReferences(t, q);
+  EXPECT_TRUE(Executor::Filter(t, q, 0).value().empty());
+  q.group_by.push_back(ColumnRef{0, 0});
+  EXPECT_EQ(Executor::Count(t, q).value(), 0);
+}
+
+TEST(FilterEdgeCaseTest, CompoundAcceptingEveryRow) {
+  common::Rng rng(9);
+  const storage::Table t = NanTable(rng, 200);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Every value of c0 is < 10 or >= 10; every value is > -inf; a clause
+  // without predicates accepts every row, NaN included.
+  Query split = SingleTableQuery("nan");
+  AddCompound(split, 0, {{{CmpOp::kLt, 10}}, {{CmpOp::kGe, 10}}});
+  AddCompound(split, 2, {{{CmpOp::kGt, -kInf}}});
+  Query empty_clause = SingleTableQuery("nan");
+  AddCompound(empty_clause, 1, {{{CmpOp::kEq, 100}}, {}});
+  for (const Query& q : {split, empty_clause}) {
+    ExpectFilterMatchesReferences(t, q);
+    EXPECT_EQ(Executor::Count(t, q).value(), t.num_rows());
+  }
+}
+
+TEST(FilterEdgeCaseTest, NonZeroSlotReturnsAscendingRowIds) {
+  common::Rng rng(17);
+  const storage::Table t = NanTable(rng, 400);
+  for (int iter = 0; iter < 40; ++iter) {
+    Query q;
+    q.tables.push_back(TableRef{"other", "other"});
+    q.tables.push_back(TableRef{"nan", "nan"});
+    // A predicate on slot 0 that would empty slot 1's scan if applied.
+    AddPredicate(q, 0, CmpOp::kGt, 1e9);
+    const int n_attrs = static_cast<int>(rng.UniformInt(1, 3));
+    for (const int col : rng.SampleWithoutReplacement(3, n_attrs)) {
+      CompoundPredicate cp = RandomCompound(rng, t, col);
+      cp.col.table = 1;
+      for (ConjunctiveClause& clause : cp.disjuncts) {
+        for (SimplePredicate& p : clause.preds) p.col.table = 1;
+      }
+      q.predicates.push_back(std::move(cp));
+    }
+    const auto rows_or = Executor::Filter(t, q, 1);
+    ASSERT_TRUE(rows_or.ok()) << rows_or.status();
+    const std::vector<int32_t>& rows = rows_or.value();
+    EXPECT_EQ(rows, RowLoopFilter(t, q, 1));
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                               std::less_equal<int32_t>()));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Joins
