@@ -109,9 +109,8 @@ void Run() {
   }
   {
     obs::ScopedTimer timer;
-    query::SchemaGraph empty_graph;
     featurize::MscnFeaturizer mscn_feat(
-        &catalog, &empty_graph,
+        &catalog, nullptr,
         featurize::MscnFeaturizer::PredMode::kPerAttributeQft,
         DefaultConjOptions());
     est::MscnEstimator mscn(std::move(mscn_feat), DefaultMscn());

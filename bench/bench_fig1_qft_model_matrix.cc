@@ -46,14 +46,13 @@ void Run() {
     const bool mixed = qft == "complex";
     const auto& train = mixed ? bundle.mixed_train : bundle.conj_train;
     const auto& test = mixed ? bundle.mixed_test : bundle.conj_test;
-    query::SchemaGraph empty_graph;
     const featurize::MscnFeaturizer::PredMode mode =
         qft == "simple"
             ? featurize::MscnFeaturizer::PredMode::kPerPredicate
         : qft == "range"
             ? featurize::MscnFeaturizer::PredMode::kPerAttributeRange
             : featurize::MscnFeaturizer::PredMode::kPerAttributeQft;
-    featurize::MscnFeaturizer featurizer(&bundle.catalog, &empty_graph, mode,
+    featurize::MscnFeaturizer featurizer(&bundle.catalog, nullptr, mode,
                                          DefaultConjOptions());
     est::MscnEstimator estimator(std::move(featurizer), DefaultMscn());
     std::vector<query::Query> queries;

@@ -50,10 +50,20 @@ common::StatusOr<query::Query> LocalModelSet::RewriteToLocal(
   query::Query local;
   local.tables.push_back(query::TableRef{mat.name(), mat.name()});
   for (const query::CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table < 0 || cp.col.table >= static_cast<int>(q.tables.size())) {
+      return common::Status::OutOfRange(
+          common::StrFormat("table slot %d out of range [0, %zu)",
+                            cp.col.table, q.tables.size()));
+    }
     const std::string& tname =
         q.tables[static_cast<size_t>(cp.col.table)].name;
     QFCARD_ASSIGN_OR_RETURN(const storage::Table* base,
                             catalog_->GetTable(tname));
+    if (cp.col.column < 0 || cp.col.column >= base->num_columns()) {
+      return common::Status::OutOfRange(common::StrFormat(
+          "column index %d out of range for table '%s'", cp.col.column,
+          tname.c_str()));
+    }
     const std::string col_name =
         tname + "." + base->column(cp.col.column).name();
     QFCARD_ASSIGN_OR_RETURN(const int local_col, mat.ColumnIndex(col_name));

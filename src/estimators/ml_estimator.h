@@ -26,7 +26,8 @@ class MlEstimator : public CardinalityEstimator {
         backend_label_("backend=" + MlEstimator::name()) {}
 
   /// Trains the model on labeled queries. `cards` are true cardinalities
-  /// (natural space); a `valid_fraction` tail split drives early stopping.
+  /// (natural space). A `seed`-shuffled `valid_fraction` split
+  /// (ml::SplitTrainTest) drives early stopping.
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards,
                        double valid_fraction, uint64_t seed) override;
@@ -73,7 +74,9 @@ class MscnEstimator : public CardinalityEstimator {
                featurizer_.pred_dim(), params),
         backend_label_("backend=" + MscnEstimator::name()) {}
 
-  /// `seed` is unused: MSCN's initialization seed lives in MscnParams.
+  /// The last `valid_fraction` of the queries, in the given order, is the
+  /// early-stopping set. `seed` is unused: MSCN's initialization seed lives
+  /// in MscnParams.
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards,
                        double valid_fraction, uint64_t seed = 0) override;

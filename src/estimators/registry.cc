@@ -27,20 +27,30 @@ std::string Lowered(const std::string& s) {
   return out;
 }
 
-// MSCN handles join queries; when the caller has no schema graph (the
-// single-table forest catalogs) an empty shared graph keeps the featurizer
-// pointer valid for the estimator's lifetime.
-const query::SchemaGraph& EmptyGraph() {
-  static const query::SchemaGraph* graph = new query::SchemaGraph();
-  return *graph;
+// A non-empty per-attribute budget vector must name one budget per
+// attribute of the featurizer's schema; the layout step would otherwise
+// fall back to max_partitions without a word.
+common::Status CheckBudgets(const EstimatorOptions& opts, int num_attributes) {
+  const size_t budgets = opts.conj.per_attribute_partitions.size();
+  if (budgets == 0 || static_cast<int>(budgets) == num_attributes) {
+    return common::Status::Ok();
+  }
+  obs::IncrementCounter("registry.errors", "kind=bad-options");
+  return common::Status::InvalidArgument(common::StrFormat(
+      "registry: %zu per-attribute partition budgets for a featurizer "
+      "schema of %d attributes",
+      budgets, num_attributes));
 }
 
 common::StatusOr<std::unique_ptr<CardinalityEstimator>> MakeMscn(
     const storage::Catalog& catalog, const EstimatorOptions& opts,
     featurize::MscnFeaturizer::PredMode mode) {
-  const query::SchemaGraph* graph =
-      opts.schema_graph != nullptr ? opts.schema_graph : &EmptyGraph();
-  featurize::MscnFeaturizer featurizer(&catalog, graph, mode, opts.conj);
+  featurize::GlobalFeatureSchema global =
+      featurize::GlobalFeatureSchema::FromCatalog(catalog);
+  QFCARD_RETURN_IF_ERROR(
+      CheckBudgets(opts, global.schema().num_attributes()));
+  featurize::MscnFeaturizer featurizer(&catalog, opts.schema_graph, mode,
+                                       opts.conj, std::move(global));
   return std::unique_ptr<CardinalityEstimator>(
       std::make_unique<MscnEstimator>(std::move(featurizer), opts.mscn));
 }
@@ -130,14 +140,8 @@ common::StatusOr<std::unique_ptr<CardinalityEstimator>> MakeEstimator(
         DidYouMean(name));
   }
 
-  std::unique_ptr<ml::Model> model;
-  if (model_key == "gb") {
-    model = std::make_unique<ml::GradientBoosting>(opts.gbm);
-  } else if (model_key == "nn") {
-    model = std::make_unique<ml::FeedForwardNet>(opts.nn);
-  } else if (model_key == "linear") {
-    model = std::make_unique<ml::LinearRegression>();
-  } else {
+  std::unique_ptr<ml::Model> model = MakeModel(model_key, opts);
+  if (model == nullptr) {
     obs::IncrementCounter("registry.errors", "kind=unknown-model");
     return common::Status::InvalidArgument(
         "registry: unknown model \"" + model_key +
@@ -148,10 +152,20 @@ common::StatusOr<std::unique_ptr<CardinalityEstimator>> MakeEstimator(
   QFCARD_ASSIGN_OR_RETURN(const storage::Table* table,
                           ResolveTable(catalog, opts));
   featurize::FeatureSchema schema = featurize::FeatureSchema::FromTable(*table);
+  QFCARD_RETURN_IF_ERROR(CheckBudgets(opts, schema.num_attributes()));
   std::unique_ptr<featurize::Featurizer> featurizer =
       featurize::MakeFeaturizer(kind, std::move(schema), opts.conj);
   return std::unique_ptr<CardinalityEstimator>(std::make_unique<MlEstimator>(
       std::move(featurizer), std::move(model)));
+}
+
+std::unique_ptr<ml::Model> MakeModel(const std::string& model_key,
+                                     const EstimatorOptions& opts) {
+  const std::string key = Lowered(model_key);
+  if (key == "gb") return std::make_unique<ml::GradientBoosting>(opts.gbm);
+  if (key == "nn") return std::make_unique<ml::FeedForwardNet>(opts.nn);
+  if (key == "linear") return std::make_unique<ml::LinearRegression>();
+  return nullptr;
 }
 
 std::vector<std::string> RegisteredEstimators() {

@@ -9,6 +9,7 @@
 #include "estimators/estimator.h"
 #include "estimators/postgres.h"
 #include "featurize/conjunction.h"
+#include "ml/dataset.h"
 #include "ml/gbm.h"
 #include "ml/mscn.h"
 #include "ml/nn.h"
@@ -33,8 +34,8 @@ struct EstimatorOptions {
   PostgresOptions postgres;
   double sampling_fraction = 0.001;  ///< the paper's 0.1%
   uint64_t sampling_seed = 424242;
-  /// Schema graph for MSCN's join encoding; nullptr means no join edges
-  /// (single-table catalogs).
+  /// Schema graph for MSCN's join encoding, read once at construction;
+  /// nullptr means no join edges (single-table catalogs).
   const query::SchemaGraph* schema_graph = nullptr;
 };
 
@@ -53,11 +54,20 @@ struct EstimatorOptions {
 ///                           {simple, range, conj|conjunctive, complex|comp}
 ///
 /// ML estimators come back untrained: call Train() (on the base interface)
-/// with a labeled workload. `catalog` — and `opts.schema_graph` when set —
-/// must outlive the returned estimator.
+/// with a labeled workload. `catalog` must outlive the returned estimator.
+/// A non-empty `opts.conj.per_attribute_partitions` must hold one budget per
+/// attribute of the featurizer's schema (the table's columns for
+/// "<model>+<qft>", the catalog's global attributes for "mscn*"); any other
+/// length is kInvalidArgument.
 common::StatusOr<std::unique_ptr<CardinalityEstimator>> MakeEstimator(
     const std::string& name, const storage::Catalog& catalog,
     const EstimatorOptions& opts = {});
+
+/// Builds the untrained model MakeEstimator pairs with a QFT: "gb", "nn" or
+/// "linear" (case-insensitive) with `opts`' hyperparameters; null for any
+/// other key.
+std::unique_ptr<ml::Model> MakeModel(const std::string& model_key,
+                                     const EstimatorOptions& opts = {});
 
 /// Names MakeEstimator recognizes, for help text and exhaustive sweeps.
 std::vector<std::string> RegisteredEstimators();

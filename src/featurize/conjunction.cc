@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace qfcard::featurize {
@@ -111,6 +113,29 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
   return common::Status::Ok();
 }
 
+// Boundaries of `part`'s entry for `attr`, an attribute of `schema`, or null.
+// An entry named like the attribute wins; a bare entry "c" also matches
+// "T.c" when no other attribute of `schema` ends in ".c".
+const std::vector<double>* EntryFor(const Partitioner& part,
+                                    const FeatureSchema& schema,
+                                    const AttributeInfo& attr) {
+  const std::vector<std::string>& names = part.attr_names();
+  const auto find = [&](std::string_view name) -> const std::vector<double>* {
+    const auto it = std::find(names.begin(), names.end(), name);
+    return it == names.end() ? nullptr
+                             : &part.boundaries()[static_cast<size_t>(
+                                   it - names.begin())];
+  };
+  if (const std::vector<double>* exact = find(attr.name)) return exact;
+  const size_t dot = attr.name.rfind('.');
+  if (dot == std::string::npos) return nullptr;
+  const std::string_view suffix = std::string_view(attr.name).substr(dot);
+  const auto same_column = std::count_if(
+      schema.attrs().begin(), schema.attrs().end(),
+      [&](const AttributeInfo& other) { return other.name.ends_with(suffix); });
+  return same_column == 1 ? find(suffix.substr(1)) : nullptr;
+}
+
 }  // namespace
 
 namespace internal {
@@ -145,26 +170,50 @@ common::Status EncodeCompoundForAttr(const AttributeInfo& attr,
 
 }  // namespace internal
 
+std::vector<PartitionLayout> ResolveLayouts(const FeatureSchema& schema,
+                                            const ConjunctionOptions& opts) {
+  const bool per_attr =
+      static_cast<int>(opts.per_attribute_partitions.size()) ==
+      schema.num_attributes();
+  std::vector<PartitionLayout> layouts;
+  layouts.reserve(static_cast<size_t>(schema.num_attributes()));
+  for (int a = 0; a < schema.num_attributes(); ++a) {
+    const AttributeInfo& attr = schema.attr(a);
+    const std::vector<double>* bounds =
+        opts.partitioner != nullptr ? EntryFor(*opts.partitioner, schema, attr)
+                                    : nullptr;
+    if (bounds != nullptr) {
+      layouts.push_back(
+          PartitionLayout{static_cast<int>(bounds->size()) + 1, *bounds});
+      continue;
+    }
+    const int budget =
+        per_attr ? opts.per_attribute_partitions[static_cast<size_t>(a)]
+                 : opts.max_partitions;
+    // The paper's n_A = min(n, max(A) - min(A) + 1) for integral attributes.
+    int n = std::max(1, budget);
+    if (attr.integral) {
+      const double domain = attr.max - attr.min + 1.0;
+      n = static_cast<int>(
+          std::max(1.0, std::min(static_cast<double>(budget), domain)));
+    }
+    layouts.push_back(PartitionLayout{n, {}});
+  }
+  return layouts;
+}
+
 ConjunctionEncoding::ConjunctionEncoding(FeatureSchema schema,
                                          ConjunctionOptions opts,
                                          bool allow_disjunctions)
     : schema_(std::move(schema)),
       opts_(std::move(opts)),
+      layouts_(ResolveLayouts(schema_, opts_)),
       allow_disjunctions_(allow_disjunctions) {
-  offsets_.reserve(static_cast<size_t>(schema_.num_attributes()));
-  layouts_.reserve(static_cast<size_t>(schema_.num_attributes()));
-  const bool per_attr =
-      static_cast<int>(opts_.per_attribute_partitions.size()) ==
-      schema_.num_attributes();
+  offsets_.reserve(layouts_.size());
   int offset = 0;
-  for (int a = 0; a < schema_.num_attributes(); ++a) {
-    const int budget = per_attr
-                           ? opts_.per_attribute_partitions[static_cast<size_t>(a)]
-                           : opts_.max_partitions;
-    layouts_.push_back(Partitioner::Layout(opts_.partitioner.get(),
-                                           schema_.attr(a), budget));
+  for (const PartitionLayout& layout : layouts_) {
     offsets_.push_back(offset);
-    offset += layouts_.back().n + (opts_.append_attr_selectivity ? 1 : 0);
+    offset += layout.n + (opts_.append_attr_selectivity ? 1 : 0);
   }
   dim_ = offset;
 }

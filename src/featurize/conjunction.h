@@ -45,6 +45,21 @@ struct ConjunctionOptions {
   std::vector<int> per_attribute_partitions;
 };
 
+/// Resolves the PartitionLayout of every attribute of `schema` under
+/// `opts`: the one layout step of every partition-based featurizer
+/// (ConjunctionEncoding, DisjunctionEncoding, MSCN's per-attribute QFT
+/// mode).
+///  - Budget: per_attribute_partitions[a] when that vector's length equals
+///    the attribute count, max_partitions otherwise.
+///  - Boundaries: the partitioner entry named like the attribute. A bare
+///    entry `c` also matches a qualified attribute `T.c` (the names of
+///    global schemas and materialized joins) when exactly one attribute of
+///    `schema` ends in `.c`. An attribute without an entry is equi-width:
+///    n_A = min(budget, |domain(A)|) for integral attributes.
+/// The layouts' bounds point into *opts.partitioner.
+std::vector<PartitionLayout> ResolveLayouts(const FeatureSchema& schema,
+                                            const ConjunctionOptions& opts);
+
 /// Universal Conjunction Encoding (Section 3.2, Algorithm 1), abbreviated
 /// "conjunctive". The domain of each attribute is discretized into n_A
 /// partitions; each partition owns one feature-vector entry valued 1 (all
@@ -73,8 +88,9 @@ class ConjunctionEncoding : public Featurizer {
   const FeatureSchema& schema() const { return schema_; }
 
  protected:
-  /// Resolves every attribute's partition layout once. `allow_disjunctions`
-  /// admits compound predicates with several clauses (Algorithm 2).
+  /// Resolves every attribute's partition layout once (ResolveLayouts).
+  /// `allow_disjunctions` admits compound predicates with several clauses
+  /// (Algorithm 2).
   ConjunctionEncoding(FeatureSchema schema, ConjunctionOptions opts,
                       bool allow_disjunctions);
 

@@ -95,4 +95,39 @@ common::StatusOr<int> GlobalFeatureSchema::GlobalIndex(int table_idx,
   return first_attr_[static_cast<size_t>(table_idx)] + column;
 }
 
+common::StatusOr<GlobalSlots> GlobalFeatureSchema::Resolve(
+    const storage::Catalog& catalog, const query::Query& q) const {
+  GlobalSlots out;
+  out.tables.reserve(q.tables.size());
+  for (const query::TableRef& ref : q.tables) {
+    QFCARD_ASSIGN_OR_RETURN(const int t, catalog.TableIndex(ref.name));
+    if (t >= num_tables()) {
+      return common::Status::OutOfRange(common::StrFormat(
+          "table '%s' is not in the global schema", ref.name.c_str()));
+    }
+    out.tables.push_back(t);
+  }
+  const auto attr = [&](const query::ColumnRef& ref) -> common::StatusOr<int> {
+    if (ref.table < 0 || ref.table >= static_cast<int>(out.tables.size())) {
+      return common::Status::OutOfRange(
+          common::StrFormat("table slot %d out of range [0, %zu)", ref.table,
+                            out.tables.size()));
+    }
+    return GlobalIndex(out.tables[static_cast<size_t>(ref.table)],
+                       ref.column);
+  };
+  out.predicates.reserve(q.predicates.size());
+  for (const query::CompoundPredicate& cp : q.predicates) {
+    QFCARD_ASSIGN_OR_RETURN(const int a, attr(cp.col));
+    out.predicates.push_back(a);
+  }
+  out.joins.reserve(q.joins.size());
+  for (const query::JoinPredicate& j : q.joins) {
+    QFCARD_ASSIGN_OR_RETURN(const int left, attr(j.left));
+    QFCARD_ASSIGN_OR_RETURN(const int right, attr(j.right));
+    out.joins.push_back({left, right});
+  }
+  return out;
+}
+
 }  // namespace qfcard::featurize

@@ -1,10 +1,12 @@
 #ifndef QFCARD_FEATURIZE_FEATURE_SCHEMA_H_
 #define QFCARD_FEATURIZE_FEATURE_SCHEMA_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "query/query.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 
@@ -53,6 +55,15 @@ class FeatureSchema {
   std::vector<AttributeInfo> attrs_;
 };
 
+/// A query's column references resolved against a GlobalFeatureSchema, once
+/// per query (GlobalFeatureSchema::Resolve).
+struct GlobalSlots {
+  std::vector<int> tables;      ///< catalog table of each q.tables slot
+  std::vector<int> predicates;  ///< global attribute of each q.predicates[i]
+  /// Global attributes of each q.joins[i] (left, right).
+  std::vector<std::array<int, 2>> joins;
+};
+
 /// Flattened attribute list over all tables of a catalog, used by global
 /// models (Section 2.1.2). Maps (table index, column index) pairs to global
 /// attribute indices.
@@ -74,6 +85,14 @@ class GlobalFeatureSchema {
   /// Returns the global attribute index of column `column` of catalog table
   /// `table_idx`.
   common::StatusOr<int> GlobalIndex(int table_idx, int column) const;
+
+  /// The one per-query step of the global featurizers: maps every table
+  /// slot of `q` to its catalog table (one TableIndex call per slot) and
+  /// every predicate and join column to its global attribute. Fails with
+  /// kNotFound for a table missing from `catalog` and kOutOfRange for a
+  /// table outside this schema or a slot or column index out of range.
+  common::StatusOr<GlobalSlots> Resolve(const storage::Catalog& catalog,
+                                        const query::Query& q) const;
 
   const std::vector<int>& first_attr() const { return first_attr_; }
   const std::vector<int>& num_columns() const { return num_columns_; }

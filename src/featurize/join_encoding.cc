@@ -2,42 +2,18 @@
 
 #include <algorithm>
 
-#include "featurize/feature_schema.h"
-
 namespace qfcard::featurize {
-
-GlobalFeaturizer::GlobalFeaturizer(const storage::Catalog* catalog,
-                                   std::unique_ptr<Featurizer> inner)
-    : catalog_(catalog), inner_(std::move(inner)) {
-  int offset = 0;
-  for (int t = 0; t < catalog_->num_tables(); ++t) {
-    first_attr_.push_back(offset);
-    offset += catalog_->table(t).num_columns();
-  }
-}
-
-int GlobalFeaturizer::dim() const {
-  return inner_->dim() + catalog_->num_tables();
-}
 
 common::Status GlobalFeaturizer::FeaturizeInto(const query::Query& q,
                                                float* out) const {
-  // Rewrite predicates against the global attribute space: attribute index
-  // = first_attr_[catalog table] + column.
+  QFCARD_ASSIGN_OR_RETURN(const GlobalSlots slots,
+                          global_.Resolve(*catalog_, q));
+  // Rewrite predicates against the global attribute space.
   query::Query global;
   global.tables.push_back(query::TableRef{"<global>", "<global>"});
-  std::vector<int> catalog_idx(q.tables.size(), -1);
-  for (size_t t = 0; t < q.tables.size(); ++t) {
-    QFCARD_ASSIGN_OR_RETURN(catalog_idx[t],
-                            catalog_->TableIndex(q.tables[t].name));
-  }
-  for (const query::CompoundPredicate& cp : q.predicates) {
-    query::CompoundPredicate rebased = cp;
-    const int global_attr =
-        first_attr_[static_cast<size_t>(
-            catalog_idx[static_cast<size_t>(cp.col.table)])] +
-        cp.col.column;
-    rebased.col = query::ColumnRef{0, global_attr};
+  for (size_t i = 0; i < q.predicates.size(); ++i) {
+    query::CompoundPredicate rebased = q.predicates[i];
+    rebased.col = query::ColumnRef{0, slots.predicates[i]};
     for (query::ConjunctiveClause& clause : rebased.disjuncts) {
       for (query::SimplePredicate& p : clause.preds) {
         p.col = rebased.col;
@@ -49,10 +25,8 @@ common::Status GlobalFeaturizer::FeaturizeInto(const query::Query& q,
 
   // Table-presence bit vector (e.g. 1101 = tables 1, 2 and 4 joined).
   float* bits = out + inner_->dim();
-  std::fill(bits, bits + catalog_->num_tables(), 0.0f);
-  for (size_t t = 0; t < q.tables.size(); ++t) {
-    bits[catalog_idx[t]] = 1.0f;
-  }
+  std::fill(bits, bits + global_.num_tables(), 0.0f);
+  for (const int t : slots.tables) bits[t] = 1.0f;
   return common::Status::Ok();
 }
 

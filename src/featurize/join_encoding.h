@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "featurize/feature_schema.h"
 #include "featurize/featurizer.h"
 #include "storage/catalog.h"
 
@@ -16,22 +17,23 @@ namespace qfcard::featurize {
 /// join).
 class GlobalFeaturizer : public Featurizer {
  public:
-  /// `inner` must be built over GlobalFeatureSchema::FromCatalog(*catalog)
-  /// (attribute i == global attribute i). `catalog` is not owned and must
-  /// outlive this object.
-  GlobalFeaturizer(const storage::Catalog* catalog,
-                   std::unique_ptr<Featurizer> inner);
+  /// `inner` must be built over `global.schema()` (attribute i == global
+  /// attribute i). `catalog` is not owned and must outlive this object.
+  GlobalFeaturizer(const storage::Catalog* catalog, GlobalFeatureSchema global,
+                   std::unique_ptr<Featurizer> inner)
+      : catalog_(catalog),
+        global_(std::move(global)),
+        inner_(std::move(inner)) {}
 
-  int dim() const override;
+  int dim() const override { return inner_->dim() + global_.num_tables(); }
   std::string name() const override { return "global+" + inner_->name(); }
   common::Status FeaturizeInto(const query::Query& q,
                                float* out) const override;
 
  private:
   const storage::Catalog* catalog_;
+  GlobalFeatureSchema global_;
   std::unique_ptr<Featurizer> inner_;
-  // Cached per construction.
-  std::vector<int> first_attr_;
 };
 
 }  // namespace qfcard::featurize

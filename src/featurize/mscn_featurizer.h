@@ -1,6 +1,7 @@
 #ifndef QFCARD_FEATURIZE_MSCN_FEATURIZER_H_
 #define QFCARD_FEATURIZE_MSCN_FEATURIZER_H_
 
+#include <array>
 #include <vector>
 
 #include "common/status.h"
@@ -37,7 +38,9 @@ class MscnFeaturizer {
  public:
   enum class PredMode { kPerPredicate, kPerAttributeQft, kPerAttributeRange };
 
-  /// `catalog` and `graph` are not owned and must outlive this object.
+  /// `catalog` is not owned and must outlive this object. `graph`'s edges
+  /// are resolved to global attributes here, so it need not outlive it; a
+  /// null graph means no join edges (single-table catalogs).
   MscnFeaturizer(const storage::Catalog* catalog,
                  const query::SchemaGraph* graph, PredMode mode,
                  ConjunctionOptions opts = {});
@@ -51,8 +54,10 @@ class MscnFeaturizer {
                  const query::SchemaGraph* graph, PredMode mode,
                  ConjunctionOptions opts, GlobalFeatureSchema global);
 
-  int table_dim() const { return num_tables_; }
-  int join_dim() const { return num_edges_ == 0 ? 1 : num_edges_; }
+  int table_dim() const { return global_.num_tables(); }
+  int join_dim() const {
+    return edges_.empty() ? 1 : static_cast<int>(edges_.size());
+  }
   int pred_dim() const { return pred_dim_; }
   PredMode mode() const { return mode_; }
   const ConjunctionOptions& options() const { return opts_; }
@@ -62,20 +67,20 @@ class MscnFeaturizer {
 
  private:
   const storage::Catalog* catalog_;
-  const query::SchemaGraph* graph_;
   PredMode mode_;
   ConjunctionOptions opts_;
   GlobalFeatureSchema global_;
-  int num_tables_ = 0;
-  int num_edges_ = 0;
+  // Per SchemaGraph edge: the global attributes of its foreign-key and key
+  // columns, or -1 for an endpoint outside the catalog (never matches).
+  std::vector<std::array<int, 2>> edges_;
   int num_attrs_ = 0;
-  int block_dim_ = 0;  // per-attribute payload width
   int pred_dim_ = 0;
   // Per global attribute (QFT mode); point into *opts_.partitioner.
   std::vector<PartitionLayout> layouts_;
 
-  common::StatusOr<int> EdgeIndexOf(const query::Query& q,
-                                    const query::JoinPredicate& j) const;
+  /// Index of the edge joining global attributes `join` in either
+  /// direction, or kNotFound.
+  common::StatusOr<int> EdgeIndexOf(const std::array<int, 2>& join) const;
 };
 
 }  // namespace qfcard::featurize

@@ -30,25 +30,6 @@ int PartitionLayout::IndexOf(const AttributeInfo& attr, double value) const {
   return pos > 0 ? static_cast<int>(pos) : 0;
 }
 
-PartitionLayout Partitioner::Layout(const Partitioner* partitioner,
-                                    const AttributeInfo& attr,
-                                    int max_partitions) {
-  const int slot = partitioner != nullptr ? partitioner->AttrSlot(attr) : -1;
-  if (slot >= 0) {
-    const std::vector<double>& b =
-        partitioner->boundaries_[static_cast<size_t>(slot)];
-    return PartitionLayout{static_cast<int>(b.size()) + 1, b};
-  }
-  // The paper's n_A = min(n, max(A) - min(A) + 1) for integral attributes.
-  int n = std::max(1, max_partitions);
-  if (attr.integral) {
-    const double domain = attr.max - attr.min + 1.0;
-    n = static_cast<int>(
-        std::max(1.0, std::min(static_cast<double>(max_partitions), domain)));
-  }
-  return PartitionLayout{n, {}};
-}
-
 Partitioner Partitioner::FromState(
     std::vector<std::string> attr_names,
     std::vector<std::vector<double>> boundaries) {
@@ -56,13 +37,6 @@ Partitioner Partitioner::FromState(
   out.attr_names_ = std::move(attr_names);
   out.boundaries_ = std::move(boundaries);
   return out;
-}
-
-int Partitioner::AttrSlot(const AttributeInfo& attr) const {
-  for (size_t i = 0; i < attr_names_.size(); ++i) {
-    if (attr_names_[i] == attr.name) return static_cast<int>(i);
-  }
-  return -1;
 }
 
 Partitioner Partitioner::EquiDepth(const storage::Table& table,

@@ -10,9 +10,10 @@
 
 namespace qfcard::featurize {
 
-/// One attribute's partitioning, resolved once per featurizer: n_A and the
-/// attribute's inner boundaries. Empty `bounds` select the paper's
-/// equi-width formula over n_A partitions.
+/// One attribute's partitioning, resolved once per featurizer by
+/// ResolveLayouts (conjunction.h): n_A and the attribute's inner boundaries.
+/// Empty `bounds` select the paper's equi-width formula over n_A
+/// partitions.
 struct PartitionLayout {
   int n = 1;
   std::span<const double> bounds;
@@ -29,6 +30,8 @@ struct PartitionLayout {
 /// ascending inner boundaries b_1 < ... < b_{k-1} per attribute name
 /// (partition i covers (b_i, b_{i+1}]); every attribute without an entry,
 /// and every attribute of a default-constructed partitioner, is equi-width.
+/// ResolveLayouts (conjunction.h) is the one place that matches entries to
+/// attributes.
 class Partitioner {
  public:
   /// Extension: quantile boundaries from `table` (one column per
@@ -51,23 +54,6 @@ class Partitioner {
   static Partitioner FromState(std::vector<std::string> attr_names,
                                std::vector<std::vector<double>> boundaries);
 
-  /// Resolves `attr`'s layout under the partition budget `max_partitions`
-  /// (the paper's n). A null `partitioner` is a default one. The layout's
-  /// bounds point into `*partitioner`, which must outlive it.
-  static PartitionLayout Layout(const Partitioner* partitioner,
-                                const AttributeInfo& attr, int max_partitions);
-
-  /// Number of partitions n_A of `attr` under `max_partitions`.
-  int NumPartitions(const AttributeInfo& attr, int max_partitions) const {
-    return Layout(this, attr, max_partitions).n;
-  }
-
-  /// Zero-based partition index of `value` within `attr`.
-  int IndexOf(const AttributeInfo& attr, int max_partitions,
-              double value) const {
-    return Layout(this, attr, max_partitions).IndexOf(attr, value);
-  }
-
   /// True when no attribute has boundaries (pure equi-width).
   bool empty() const { return attr_names_.empty(); }
 
@@ -79,8 +65,6 @@ class Partitioner {
  private:
   std::vector<std::string> attr_names_;
   std::vector<std::vector<double>> boundaries_;
-
-  int AttrSlot(const AttributeInfo& attr) const;
 };
 
 /// Attribute-specific partition budgets (Section 3.2: skewed attributes may

@@ -2,21 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstring>
 #include <utility>
 
 #include "estimators/ml_estimator.h"
+#include "estimators/registry.h"
 #include "featurize/conjunction.h"
 #include "featurize/extensions.h"
 #include "featurize/feature_schema.h"
 #include "featurize/mscn_featurizer.h"
 #include "featurize/range.h"
 #include "featurize/singular.h"
-#include "ml/gbm.h"
-#include "ml/linear.h"
 #include "ml/mscn.h"
-#include "ml/nn.h"
 #include "ml/serialize.h"
 
 namespace qfcard::serve {
@@ -34,22 +31,6 @@ constexpr uint32_t kMscnMagic = 0x514d4631;     // "QMF1"
 constexpr uint8_t kPartEquiWidth = 0;  // no boundaries (or no partitioner)
 constexpr uint8_t kPartBoundaries = 1;
 constexpr uint8_t kPartLegacyVOptimal = 2;
-
-std::string Lowered(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-// MSCN needs a non-null schema graph for its featurizer's lifetime; bundles
-// loaded without one share an empty graph (no join edges), matching the
-// registry's behavior for single-table catalogs.
-const query::SchemaGraph& EmptyGraph() {
-  static const query::SchemaGraph* graph = new query::SchemaGraph();
-  return *graph;
-}
 
 // ---------------------------------------------------------------------------
 // Shared sub-encodings: schema, options, partitioner state
@@ -246,18 +227,9 @@ common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadLocal(
 
   // "<model>+<qft>" — only the model half matters here (the QFT was decoded
   // from the blob); hyperparameters affect training only.
-  const std::string key = Lowered(bundle.estimator);
-  const size_t plus = key.find('+');
-  const std::string model_key =
-      plus == std::string::npos ? key : key.substr(0, plus);
-  std::unique_ptr<ml::Model> model;
-  if (model_key == "gb") {
-    model = std::make_unique<ml::GradientBoosting>();
-  } else if (model_key == "nn") {
-    model = std::make_unique<ml::FeedForwardNet>();
-  } else if (model_key == "linear") {
-    model = std::make_unique<ml::LinearRegression>();
-  } else {
+  std::unique_ptr<ml::Model> model = est::MakeModel(
+      bundle.estimator.substr(0, bundle.estimator.find('+')));
+  if (model == nullptr) {
     return common::Status::InvalidArgument(
         "bundle: estimator name \"" + bundle.estimator +
         "\" names no known model (expected gb/nn/linear)");
@@ -307,7 +279,7 @@ common::StatusOr<std::unique_ptr<est::CardinalityEstimator>> LoadMscn(
         "bundle: trailing bytes after featurizer state");
   }
   featurize::MscnFeaturizer featurizer(
-      &catalog, graph != nullptr ? graph : &EmptyGraph(),
+      &catalog, graph,
       static_cast<featurize::MscnFeaturizer::PredMode>(mode_raw),
       std::move(opts), std::move(global));
   ml::MscnParams params;

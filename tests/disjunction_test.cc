@@ -211,12 +211,13 @@ TEST_P(MixedLosslessnessTest, FullResolutionReconstructsCount) {
       AddCompound(q, a, clauses);
     }
     const std::vector<float> v = enc.Featurize(q).value();
+    const std::vector<PartitionLayout> layouts = ResolveLayouts(schema, opts);
     int64_t reconstructed = 0;
     for (int64_t r = 0; r < rows; ++r) {
       bool ok = true;
       for (int a = 0; a < 2 && ok; ++a) {
-        const int idx = Partitioner().IndexOf(
-            schema.attr(a), opts.max_partitions, t.column(a).Get(r));
+        const int idx = layouts[static_cast<size_t>(a)].IndexOf(
+            schema.attr(a), t.column(a).Get(r));
         ok = v[static_cast<size_t>(enc.AttrOffset(a) + idx)] == 1.0f;
       }
       if (ok) ++reconstructed;

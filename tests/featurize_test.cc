@@ -1,8 +1,10 @@
 #include "featurize/feature_schema.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 
 #include "common/random.h"
 #include "featurize/disjunction.h"
@@ -54,49 +56,59 @@ TEST(FeatureSchemaTest, DomainSize) {
   EXPECT_DOUBLE_EQ((AttributeInfo{"x", 5, 5, true, 1}).DomainSize(), 1.0);
 }
 
+// The layout ResolveLayouts gives `attr` alone under budget `n` and
+// `part`'s boundaries (null: equi-width). Its bounds point into *part.
+PartitionLayout LayoutOf(const std::shared_ptr<const Partitioner>& part,
+                         const AttributeInfo& attr, int n) {
+  ConjunctionOptions opts;
+  opts.max_partitions = n;
+  opts.partitioner = part;
+  return ResolveLayouts(FeatureSchema({attr}), opts)[0];
+}
+
 TEST(EquiWidthPartitionerTest, PaperIndexFormula) {
   // Section 3.2: A in [-9, 50], n = 12 -> value 7 maps to index
   // floor((7 - (-9)) / (50 - (-9) + 1) * 12) = floor(3.2) = 3.
   const AttributeInfo a{"A", -9, 50, true, 60};
-  const Partitioner part;  // no boundaries: equi-width
-  EXPECT_EQ(part.NumPartitions(a, 12), 12);
-  EXPECT_EQ(part.IndexOf(a, 12, 7), 3);
-  EXPECT_EQ(part.IndexOf(a, 12, -9), 0);
-  EXPECT_EQ(part.IndexOf(a, 12, 50), 11);
+  const PartitionLayout layout = LayoutOf(nullptr, a, 12);
+  EXPECT_EQ(layout.n, 12);
+  EXPECT_EQ(layout.IndexOf(a, 7), 3);
+  EXPECT_EQ(layout.IndexOf(a, -9), 0);
+  EXPECT_EQ(layout.IndexOf(a, 50), 11);
 }
 
 TEST(EquiWidthPartitionerTest, SmallDomainShrinksToDomain) {
   const AttributeInfo c{"C", 1, 2, true, 2};
-  const Partitioner part;  // no boundaries: equi-width
-  EXPECT_EQ(part.NumPartitions(c, 12), 2);
-  EXPECT_EQ(part.IndexOf(c, 12, 1), 0);
-  EXPECT_EQ(part.IndexOf(c, 12, 2), 1);
+  const PartitionLayout layout = LayoutOf(nullptr, c, 12);
+  EXPECT_EQ(layout.n, 2);
+  EXPECT_EQ(layout.IndexOf(c, 1), 0);
+  EXPECT_EQ(layout.IndexOf(c, 2), 1);
 }
 
 TEST(EquiWidthPartitionerTest, ClampsOutOfDomainValues) {
   const AttributeInfo a{"A", 0, 9, true, 10};
-  const Partitioner part;  // no boundaries: equi-width
-  EXPECT_EQ(part.IndexOf(a, 5, -100), 0);
-  EXPECT_EQ(part.IndexOf(a, 5, 100), 4);
+  const PartitionLayout layout = LayoutOf(nullptr, a, 5);
+  EXPECT_EQ(layout.IndexOf(a, -100), 0);
+  EXPECT_EQ(layout.IndexOf(a, 100), 4);
 }
 
 TEST(EquiWidthPartitionerTest, ContinuousDomain) {
   const AttributeInfo x{"x", 0.0, 1.0, false, 0};
-  const Partitioner part;  // no boundaries: equi-width
-  EXPECT_EQ(part.NumPartitions(x, 4), 4);
-  EXPECT_EQ(part.IndexOf(x, 4, 0.0), 0);
-  EXPECT_EQ(part.IndexOf(x, 4, 0.49), 1);
-  EXPECT_EQ(part.IndexOf(x, 4, 1.0), 3);  // max value lands in last partition
+  const PartitionLayout layout = LayoutOf(nullptr, x, 4);
+  EXPECT_EQ(layout.n, 4);
+  EXPECT_EQ(layout.IndexOf(x, 0.0), 0);
+  EXPECT_EQ(layout.IndexOf(x, 0.49), 1);
+  EXPECT_EQ(layout.IndexOf(x, 1.0), 3);  // max value lands in last partition
 }
 
 // Literals whose partition index does not fit in an int, and infinities,
 // clamp like any other out-of-domain value.
 TEST(EquiWidthPartitionerTest, ClampsFarOutOfDomainValues) {
   const AttributeInfo b{"B", 0, 115, true, 116};
-  const Partitioner part;  // no boundaries: equi-width
+  const PartitionLayout layout = LayoutOf(nullptr, b, 12);
   for (const double v : {1e11, 1e15, HUGE_VAL}) {
-    EXPECT_EQ(part.IndexOf(b, 12, v), 11) << v;
-    EXPECT_EQ(part.IndexOf(b, 12, -v), 0) << -v;
+    EXPECT_EQ(layout.IndexOf(b, v), 11) << v;
+    EXPECT_EQ(layout.IndexOf(b, -v), 0) << -v;
   }
 }
 
@@ -106,15 +118,17 @@ TEST(EquiDepthPartitionerTest, BalancesSkewedData) {
   for (int i = 0; i < 900; ++i) values.push_back(1);
   for (int i = 0; i < 100; ++i) values.push_back(i + 2);
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const Partitioner part = Partitioner::EquiDepth(t, 8);
+  const auto part =
+      std::make_shared<const Partitioner>(Partitioner::EquiDepth(t, 8));
   const FeatureSchema schema = FeatureSchema::FromTable(t);
+  const PartitionLayout layout = LayoutOf(part, schema.attr(0), 8);
   // The spike at 1 collapses many quantiles; far fewer than 8 partitions.
-  EXPECT_LT(part.NumPartitions(schema.attr(0), 8), 8);
-  EXPECT_GE(part.NumPartitions(schema.attr(0), 8), 2);
+  EXPECT_LT(layout.n, 8);
+  EXPECT_GE(layout.n, 2);
   // Index is monotone in the value.
   int prev = -1;
   for (const double v : {1.0, 2.0, 50.0, 101.0}) {
-    const int idx = part.IndexOf(schema.attr(0), 8, v);
+    const int idx = layout.IndexOf(schema.attr(0), v);
     EXPECT_GE(idx, prev);
     prev = idx;
   }
@@ -127,25 +141,25 @@ TEST(VOptimalPartitionerTest, IsolatesFrequencySpikes) {
   for (int i = 0; i < 900; ++i) values.push_back(10);
   for (int i = 0; i < 100; ++i) values.push_back(i % 20);
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const Partitioner part = Partitioner::VOptimal(t, 4);
+  const auto part =
+      std::make_shared<const Partitioner>(Partitioner::VOptimal(t, 4));
   const FeatureSchema schema = FeatureSchema::FromTable(t);
   const AttributeInfo& attr = schema.attr(0);
-  EXPECT_LE(part.NumPartitions(attr, 4), 4);
-  EXPECT_GE(part.NumPartitions(attr, 4), 2);
+  const PartitionLayout layout = LayoutOf(part, attr, 4);
+  EXPECT_LE(layout.n, 4);
+  EXPECT_GE(layout.n, 2);
   // The spike value must not share its partition with every other value:
   // some value below and some above 10 land in different partitions than
   // at least one other probe.
-  const int spike = part.IndexOf(attr, 4, 10);
   int distinct_partitions = 1;
-  int prev = part.IndexOf(attr, 4, 0);
+  int prev = layout.IndexOf(attr, 0);
   for (const double v : {5.0, 9.0, 10.0, 11.0, 19.0}) {
-    const int idx = part.IndexOf(attr, 4, v);
+    const int idx = layout.IndexOf(attr, v);
     EXPECT_GE(idx, prev);  // monotone
     if (idx != prev) ++distinct_partitions;
     prev = idx;
   }
   EXPECT_GE(distinct_partitions, 2);
-  (void)spike;
 }
 
 TEST(VOptimalPartitionerTest, MonotoneAndInRange) {
@@ -156,17 +170,18 @@ TEST(VOptimalPartitionerTest, MonotoneAndInRange) {
     values.push_back(static_cast<double>(rng.Zipf(200, 1.2)));
   }
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", values)));
-  const Partitioner part = Partitioner::VOptimal(t, 16);
+  const auto part =
+      std::make_shared<const Partitioner>(Partitioner::VOptimal(t, 16));
   const FeatureSchema schema = FeatureSchema::FromTable(t);
   const AttributeInfo& attr = schema.attr(0);
-  const int n = part.NumPartitions(attr, 16);
-  EXPECT_LE(n, 16);
+  const PartitionLayout layout = LayoutOf(part, attr, 16);
+  EXPECT_LE(layout.n, 16);
   int prev = -1;
   for (double v = attr.min; v <= attr.max; v += 1.0) {
-    const int idx = part.IndexOf(attr, 16, v);
+    const int idx = layout.IndexOf(attr, v);
     EXPECT_GE(idx, prev);
     EXPECT_GE(idx, 0);
-    EXPECT_LT(idx, n);
+    EXPECT_LT(idx, layout.n);
     prev = idx;
   }
 }
@@ -174,12 +189,12 @@ TEST(VOptimalPartitionerTest, MonotoneAndInRange) {
 TEST(VOptimalPartitionerTest, UnknownAttributeFallsBackToEquiWidth) {
   storage::Table t("t");
   QFCARD_CHECK_OK(t.AddColumn(testutil::IntColumn("x", {1, 2, 3})));
-  const Partitioner part = Partitioner::VOptimal(t, 8);
+  const auto part =
+      std::make_shared<const Partitioner>(Partitioner::VOptimal(t, 8));
   const AttributeInfo other{"unrelated", 0, 99, true, 100};
-  EXPECT_EQ(part.NumPartitions(other, 8),
-            Partitioner().NumPartitions(other, 8));
-  EXPECT_EQ(part.IndexOf(other, 8, 50),
-            Partitioner().IndexOf(other, 8, 50));
+  EXPECT_EQ(LayoutOf(part, other, 8).n, LayoutOf(nullptr, other, 8).n);
+  EXPECT_EQ(LayoutOf(part, other, 8).IndexOf(other, 50),
+            LayoutOf(nullptr, other, 8).IndexOf(other, 50));
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +361,7 @@ TEST(GlobalFeaturizerTest, AppendsTableBitmap) {
       GlobalFeatureSchema::FromCatalog(db.catalog);
   auto inner = std::make_unique<RangeEncoding>(global.schema());
   const int inner_dim = inner->dim();
-  const GlobalFeaturizer enc(&db.catalog, std::move(inner));
+  const GlobalFeaturizer enc(&db.catalog, global, std::move(inner));
   ASSERT_EQ(enc.dim(), inner_dim + db.catalog.num_tables());
 
   query::Query q;
@@ -383,7 +398,7 @@ TEST(GlobalFeaturizerTest, PredicatesMapToGlobalAttributeSlots) {
   opts.max_partitions = 4;
   opts.append_attr_selectivity = false;
   const GlobalFeaturizer enc(
-      &cat,
+      &cat, global,
       std::make_unique<ConjunctionEncoding>(global.schema(), opts));
   // Query over only table b, with b.y = 2.
   query::Query q;
@@ -610,17 +625,32 @@ storage::Table GoldenForest() {
   return t;
 }
 
-// The first `count` columns of `t`, each renamed `prefix` + its name.
-storage::Table Renamed(const storage::Table& t, int count,
-                       const std::string& prefix) {
+// The first `count` columns of `t`.
+storage::Table FirstColumns(const storage::Table& t, int count) {
   storage::Table out(t.name());
   for (int c = 0; c < count; ++c) {
     const storage::Column& col = t.column(c);
-    storage::Column renamed(prefix + col.name(), col.type());
-    renamed.AppendBatch(col.data());
-    QFCARD_CHECK_OK(out.AddColumn(std::move(renamed)));
+    storage::Column copy(col.name(), col.type());
+    copy.AppendBatch(col.data());
+    QFCARD_CHECK_OK(out.AddColumn(std::move(copy)));
   }
   return out;
+}
+
+// The option variants every partition-based digest runs through.
+std::vector<ConjunctionOptions> GoldenVariants(const storage::Table& forest) {
+  std::vector<ConjunctionOptions> variants(7);
+  variants[1].max_partitions = 8;
+  variants[2].append_attr_selectivity = false;
+  variants[3].exact_small_domains = false;
+  variants[4].use_half_values = false;
+  variants[5].max_partitions = 16;
+  variants[5].append_attr_selectivity = false;
+  variants[5].exact_small_domains = false;
+  variants[5].use_half_values = false;
+  variants[6].max_partitions = 16;
+  variants[6].per_attribute_partitions = SkewAwarePartitions(forest, 16, 4);
+  return variants;
 }
 
 // Any change to a QFT, a partitioner or an option's effect moves one of
@@ -638,37 +668,18 @@ TEST(FeaturizeGoldenTest, ForestWorkloadDigests) {
 
   storage::Catalog catalog;
   QFCARD_CHECK_OK(catalog.AddTable(GoldenForest()));
-  const query::SchemaGraph graph;
 
   // Equi-depth covers only the first half of the columns, so the other half
   // exercises the equi-width fallback for attributes without boundaries.
-  // The MSCN featurizer keys attributes by qualified name ("forest.A1").
-  const int half = forest.num_columns() / 2;
-  const storage::Table local_half = Renamed(forest, half, "");
-  const storage::Table global_half = Renamed(forest, half, "forest.");
-  const storage::Table global_all =
-      Renamed(forest, forest.num_columns(), "forest.");
+  // MSCN's global attributes are qualified ("forest.A1"); the bare entries
+  // match them because each column name occurs in one table only.
   using Named = std::pair<std::string, std::shared_ptr<const Partitioner>>;
-  const std::vector<Named> local_parts = {
+  const std::vector<Named> parts = {
       {"equi-width", nullptr},
-      {"equi-depth", GoldenEquiDepth(local_half, 16)},
+      {"equi-depth",
+       GoldenEquiDepth(FirstColumns(forest, forest.num_columns() / 2), 16)},
       {"v-optimal", GoldenVOptimal(forest, 16)}};
-  const std::vector<Named> global_parts = {
-      {"equi-width", nullptr},
-      {"equi-depth", GoldenEquiDepth(global_half, 16)},
-      {"v-optimal", GoldenVOptimal(global_all, 16)}};
-
-  std::vector<ConjunctionOptions> variants(7);
-  variants[1].max_partitions = 8;
-  variants[2].append_attr_selectivity = false;
-  variants[3].exact_small_domains = false;
-  variants[4].use_half_values = false;
-  variants[5].max_partitions = 16;
-  variants[5].append_attr_selectivity = false;
-  variants[5].exact_small_domains = false;
-  variants[5].use_half_values = false;
-  variants[6].max_partitions = 16;
-  variants[6].per_attribute_partitions = SkewAwarePartitions(forest, 16, 4);
+  const std::vector<ConjunctionOptions> variants = GoldenVariants(forest);
 
   std::vector<std::pair<std::string, uint64_t>> got;
   got.emplace_back("simple",
@@ -677,29 +688,27 @@ TEST(FeaturizeGoldenTest, ForestWorkloadDigests) {
                    DigestFeatures(kFnvBasis, RangeEncoding(schema), mixed));
   for (const auto mode : {MscnFeaturizer::PredMode::kPerPredicate,
                           MscnFeaturizer::PredMode::kPerAttributeRange}) {
-    const MscnFeaturizer f(&catalog, &graph, mode);
+    const MscnFeaturizer f(&catalog, nullptr, mode);
     uint64_t h = DigestMscn(kFnvBasis, f, conj);
     got.emplace_back(mode == MscnFeaturizer::PredMode::kPerPredicate
                          ? "mscn-pred"
                          : "mscn-range",
                      DigestMscn(h, f, mixed));
   }
-  for (size_t p = 0; p < local_parts.size(); ++p) {
+  for (const auto& [pname, partitioner] : parts) {
     uint64_t conj_h = kFnvBasis;
     uint64_t comp_h = kFnvBasis;
     uint64_t mscn_h = kFnvBasis;
     for (ConjunctionOptions opts : variants) {
-      opts.partitioner = local_parts[p].second;
+      opts.partitioner = partitioner;
       conj_h = DigestFeatures(conj_h, ConjunctionEncoding(schema, opts), conj);
       const DisjunctionEncoding comp(schema, opts);
       comp_h = DigestFeatures(DigestFeatures(comp_h, comp, conj), comp, mixed);
-      opts.partitioner = global_parts[p].second;
-      const MscnFeaturizer mscn(&catalog, &graph,
+      const MscnFeaturizer mscn(&catalog, nullptr,
                                 MscnFeaturizer::PredMode::kPerAttributeQft,
                                 opts);
       mscn_h = DigestMscn(DigestMscn(mscn_h, mscn, conj), mscn, mixed);
     }
-    const std::string& pname = local_parts[p].first;
     got.emplace_back("conjunctive/" + pname, conj_h);
     got.emplace_back("complex/" + pname, comp_h);
     got.emplace_back("mscn-qft/" + pname, mscn_h);
@@ -725,6 +734,200 @@ TEST(FeaturizeGoldenTest, ForestWorkloadDigests) {
     EXPECT_EQ(got[i].first, want[i].first);
     EXPECT_EQ(got[i].second, want[i].second)
         << got[i].first << ": 0x" << std::hex << got[i].second << "ULL";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One layout step and one slot resolution for the global featurizers
+// ---------------------------------------------------------------------------
+
+// Over a one-table catalog, MSCN's per-attribute QFT mode and the global
+// table-bitmap adapter reproduce the local encodings exactly: they resolve
+// layouts through the same step, so bare-named histogram boundaries and
+// per-attribute budgets reach them too.
+TEST(OneLayoutStepTest, GlobalFeaturizersMatchLocalEncodings) {
+  const storage::Table forest = GoldenForest();
+  const FeatureSchema schema = FeatureSchema::FromTable(forest);
+  const int num_attrs = schema.num_attributes();
+  common::Rng rng(21);
+  const std::vector<query::Query> conj = workload::GeneratePredicateWorkload(
+      forest, 60, workload::ConjunctiveWorkloadOptions(6), rng);
+  const std::vector<query::Query> mixed = workload::GeneratePredicateWorkload(
+      forest, 60, workload::MixedWorkloadOptions(6), rng);
+  storage::Catalog catalog;
+  QFCARD_CHECK_OK(catalog.AddTable(GoldenForest()));
+  const GlobalFeatureSchema global = GlobalFeatureSchema::FromCatalog(catalog);
+
+  std::vector<ConjunctionOptions> variants = GoldenVariants(forest);
+  // The golden budgets only boost two columns whose small domains cap n_A
+  // anyway; these differ from max_partitions on every wide attribute.
+  ConjunctionOptions& varied = variants.emplace_back();
+  for (int a = 0; a < num_attrs; ++a) {
+    varied.per_attribute_partitions.push_back(4 + 4 * a);
+  }
+  for (const std::shared_ptr<const Partitioner>& partitioner :
+       {std::shared_ptr<const Partitioner>(), GoldenEquiDepth(forest, 16),
+        GoldenVOptimal(forest, 16)}) {
+    for (ConjunctionOptions opts : variants) {
+      opts.partitioner = partitioner;
+      const int sel = opts.append_attr_selectivity ? 1 : 0;
+      const DisjunctionEncoding local(schema, opts);
+      const MscnFeaturizer mscn(&catalog, nullptr,
+                                MscnFeaturizer::PredMode::kPerAttributeQft,
+                                opts);
+      int max_block = 0;
+      for (int a = 0; a < num_attrs; ++a) {
+        max_block = std::max(max_block, local.AttrEntries(a) + sel);
+      }
+      ASSERT_EQ(mscn.pred_dim(), num_attrs + max_block);
+      // Each MSCN predicate vector is [one-hot a | block of a, zero-padded].
+      for (const query::Query& q : mixed) {
+        const MscnSample sample = mscn.Featurize(q).value();
+        ASSERT_EQ(sample.pred_vecs.size(), q.predicates.size());
+        for (size_t i = 0; i < q.predicates.size(); ++i) {
+          query::Query one = q;
+          one.predicates = {q.predicates[i]};
+          const std::vector<float> block = local.Featurize(one).value();
+          const int a = q.predicates[i].col.column;
+          std::vector<float> want(static_cast<size_t>(mscn.pred_dim()), 0.0f);
+          want[static_cast<size_t>(a)] = 1.0f;
+          std::copy_n(block.begin() + local.AttrOffset(a),
+                      local.AttrEntries(a) + sel, want.begin() + num_attrs);
+          ASSERT_EQ(sample.pred_vecs[i], want);
+        }
+      }
+      // The global adapter is the local encoding plus the table bit.
+      const ConjunctionEncoding local_conj(schema, opts);
+      const GlobalFeaturizer global_conj(
+          &catalog, global,
+          std::make_unique<ConjunctionEncoding>(global.schema(), opts));
+      const GlobalFeaturizer global_comp(
+          &catalog, global,
+          std::make_unique<DisjunctionEncoding>(global.schema(), opts));
+      for (const auto& [global_enc, local_enc, queries] :
+           {std::tuple<const Featurizer*, const Featurizer*,
+                       const std::vector<query::Query>*>{&global_conj,
+                                                         &local_conj, &conj},
+            {&global_comp, &local, &mixed}}) {
+        for (const query::Query& q : *queries) {
+          std::vector<float> want = local_enc->Featurize(q).value();
+          want.push_back(1.0f);
+          ASSERT_EQ(global_enc->Featurize(q).value(), want);
+        }
+      }
+    }
+  }
+}
+
+// A qualified partitioner entry matches its one attribute; a bare entry
+// matches a qualified attribute only when no other table has that column.
+TEST(OneLayoutStepTest, BareEntriesMatchOnlyUniqueColumnNames) {
+  workload::ImdbOptions imdb;
+  imdb.num_titles = 200;
+  const workload::ImdbDatabase db = workload::MakeImdbDatabase(imdb);
+  const GlobalFeatureSchema global =
+      GlobalFeatureSchema::FromCatalog(db.catalog);
+  const FeatureSchema& schema = global.schema();
+  ConjunctionOptions opts;
+  opts.partitioner = std::make_shared<const Partitioner>(Partitioner::FromState(
+      {"production_year", "movie_id", "cast_info.movie_id"},
+      {{1950, 1990}, {10, 20, 30, 40}, {5, 50, 500, 5000, 50000, 500000}}));
+  const std::vector<PartitionLayout> layouts = ResolveLayouts(schema, opts);
+  const std::vector<PartitionLayout> equi_width =
+      ResolveLayouts(schema, ConjunctionOptions());
+  int movie_ids = 0;
+  for (int a = 0; a < schema.num_attributes(); ++a) {
+    const std::string& name = schema.attr(a).name;
+    const PartitionLayout& layout = layouts[static_cast<size_t>(a)];
+    if (name.ends_with(".movie_id")) ++movie_ids;
+    if (name == "title.production_year") {
+      EXPECT_EQ(layout.n, 3);  // unique bare entry
+    } else if (name == "cast_info.movie_id") {
+      EXPECT_EQ(layout.n, 7);  // qualified entry
+    } else {
+      // The ambiguous bare "movie_id" matches none of the other four.
+      EXPECT_EQ(layout.n, equi_width[static_cast<size_t>(a)].n) << name;
+      EXPECT_TRUE(layout.bounds.empty()) << name;
+    }
+  }
+  EXPECT_EQ(movie_ids, 5);
+
+  // MSCN encodes with those layouts: its production_year block equals the
+  // global conjunctive encoding's.
+  const MscnFeaturizer mscn(&db.catalog, &db.graph,
+                            MscnFeaturizer::PredMode::kPerAttributeQft, opts);
+  const ConjunctionEncoding conj(schema, opts);
+  query::Query q;
+  q.tables.push_back(query::TableRef{"title", "title"});
+  const int year = db.catalog.GetTable("title").value()->ColumnIndex(
+      "production_year").value();
+  AddPredicate(q, year, CmpOp::kGe, 1995);
+  const int a = global.GlobalIndex(0, year).value();
+  ASSERT_EQ(db.catalog.TableIndex("title").value(), 0);
+  query::Query global_q = q;
+  global_q.predicates[0].col.column = a;
+  global_q.predicates[0].disjuncts[0].preds[0].col.column = a;
+  const std::vector<float> want = conj.Featurize(global_q).value();
+  const std::vector<float> got = mscn.Featurize(q).value().pred_vecs.at(0);
+  ASSERT_EQ(conj.AttrEntries(a), 3);
+  for (int i = 0; i < conj.AttrEntries(a) + 1; ++i) {
+    EXPECT_EQ(got[static_cast<size_t>(schema.num_attributes() + i)],
+              want[static_cast<size_t>(conj.AttrOffset(a) + i)])
+        << i;
+  }
+}
+
+// Every global featurizer resolves a query's slots once, up front: a
+// predicate slot, predicate column, join slot or join column out of range
+// is kOutOfRange, never an out-of-bounds read.
+TEST(GlobalSlotsTest, OutOfRangeIndicesAreRejected) {
+  workload::ImdbOptions imdb;
+  imdb.num_titles = 100;
+  const workload::ImdbDatabase db = workload::MakeImdbDatabase(imdb);
+  query::Query base;
+  base.tables.push_back(query::TableRef{"title", "title"});
+  base.tables.push_back(query::TableRef{"cast_info", "cast_info"});
+  QFCARD_CHECK_OK(db.graph.PopulateJoins(db.catalog, base));
+  ASSERT_EQ(base.joins.size(), 1u);
+  AddPredicate(base, 1, CmpOp::kGe, 1990);
+
+  std::vector<query::Query> bad;
+  for (const query::ColumnRef ref :
+       {query::ColumnRef{2, 0}, query::ColumnRef{-1, 0},
+        query::ColumnRef{0, 99}, query::ColumnRef{1, -1}}) {
+    query::Query pred = base;
+    pred.predicates[0].col = ref;
+    bad.push_back(pred);
+    query::Query left = base;
+    left.joins[0].left = ref;
+    bad.push_back(left);
+    query::Query right = base;
+    right.joins[0].right = ref;
+    bad.push_back(right);
+  }
+
+  const GlobalFeatureSchema global =
+      GlobalFeatureSchema::FromCatalog(db.catalog);
+  const GlobalFeaturizer adapter(
+      &db.catalog, global,
+      std::make_unique<DisjunctionEncoding>(global.schema()));
+  for (const MscnFeaturizer::PredMode mode :
+       {MscnFeaturizer::PredMode::kPerPredicate,
+        MscnFeaturizer::PredMode::kPerAttributeRange,
+        MscnFeaturizer::PredMode::kPerAttributeQft}) {
+    const MscnFeaturizer mscn(&db.catalog, &db.graph, mode);
+    ASSERT_TRUE(mscn.Featurize(base).ok());
+    for (size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(mscn.Featurize(bad[i]).status().code(),
+                common::StatusCode::kOutOfRange)
+          << "mode " << static_cast<int>(mode) << ", query " << i;
+    }
+  }
+  ASSERT_TRUE(adapter.Featurize(base).ok());
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(adapter.Featurize(bad[i]).status().code(),
+              common::StatusCode::kOutOfRange)
+        << "query " << i;
   }
 }
 

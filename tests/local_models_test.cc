@@ -81,6 +81,27 @@ TEST_F(LocalModelsTest, RewriteToLocalPreservesCardinality) {
   EXPECT_EQ(local_count, join_count);
 }
 
+// A predicate naming a table slot or column the query does not have is
+// rejected, not read out of bounds.
+TEST_F(LocalModelsTest, RewriteToLocalRejectsOutOfRangeSlotAndColumn) {
+  LocalModelSet models(&db_.catalog, &db_.graph, ConjFactory(), GbmFactory());
+  ASSERT_TRUE(models.GetOrMaterialize({"title", "movie_keyword"}).ok());
+  query::Query base;
+  base.tables.push_back(query::TableRef{"title", "title"});
+  base.tables.push_back(query::TableRef{"movie_keyword", "movie_keyword"});
+  QFCARD_CHECK_OK(db_.graph.PopulateJoins(db_.catalog, base));
+  for (const query::ColumnRef bad :
+       {query::ColumnRef{2, 0}, query::ColumnRef{-1, 0},
+        query::ColumnRef{0, 999}, query::ColumnRef{1, -1}}) {
+    query::Query q = base;
+    testutil::AddPredicate(q, 0, query::CmpOp::kGe, 1990);
+    q.predicates.back().col = bad;
+    EXPECT_EQ(models.RewriteToLocal(q).status().code(),
+              common::StatusCode::kOutOfRange)
+        << bad.table << "." << bad.column;
+  }
+}
+
 TEST_F(LocalModelsTest, EstimateRequiresTrainedModel) {
   LocalModelSet models(&db_.catalog, &db_.graph, ConjFactory(), GbmFactory());
   ASSERT_TRUE(models.GetOrMaterialize({"title", "cast_info"}).ok());

@@ -4,8 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "featurize/feature_schema.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "test_util.h"
+#include "workload/imdb.h"
 
 namespace qfcard::est {
 namespace {
@@ -108,6 +111,56 @@ TEST(RegistryTest, EmptyCatalogRejectedForFeaturizedEstimators) {
   const auto result = MakeEstimator("gb+simple", empty);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+}
+
+uint64_t BadOptionsErrors() {
+  uint64_t total = 0;
+  for (const obs::MetricsRegistry::CounterRow& row :
+       obs::MetricsRegistry::Global().CounterRows()) {
+    if (row.name == "registry.errors" && row.labels == "kind=bad-options") {
+      total += row.value;
+    }
+  }
+  return total;
+}
+
+// A non-empty budget vector names one budget per attribute of the
+// featurizer's schema: the table's columns for "<model>+<qft>", the global
+// attributes for "mscn*". Any other length is rejected and counted instead
+// of silently falling back to max_partitions.
+TEST(RegistryTest, PerAttributeBudgetsMustMatchTheFeaturizerSchema) {
+  workload::ImdbOptions imdb;
+  imdb.num_titles = 100;
+  const workload::ImdbDatabase db = workload::MakeImdbDatabase(imdb);
+  const int table_columns =
+      db.catalog.GetTable("title").value()->num_columns();
+  const int global_attrs = featurize::GlobalFeatureSchema::FromCatalog(
+                               db.catalog)
+                               .schema()
+                               .num_attributes();
+  ASSERT_NE(table_columns, global_attrs);
+  const auto make = [&](const std::string& name, int budgets) {
+    EstimatorOptions opts;
+    opts.table = "title";
+    opts.schema_graph = &db.graph;
+    opts.conj.per_attribute_partitions.assign(static_cast<size_t>(budgets), 8);
+    return MakeEstimator(name, db.catalog, opts).status().code();
+  };
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const uint64_t before = BadOptionsErrors();
+  for (const char* name : {"gb+complex", "nn+conjunctive", "linear+simple"}) {
+    EXPECT_EQ(make(name, table_columns), common::StatusCode::kOk) << name;
+    EXPECT_EQ(make(name, global_attrs), common::StatusCode::kInvalidArgument)
+        << name;
+  }
+  for (const char* name : {"mscn", "mscn+range", "mscn+conj"}) {
+    EXPECT_EQ(make(name, global_attrs), common::StatusCode::kOk) << name;
+    EXPECT_EQ(make(name, table_columns), common::StatusCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(BadOptionsErrors() - before, 6u);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

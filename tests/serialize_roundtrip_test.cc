@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "estimators/registry.h"
+#include "featurize/feature_schema.h"
 #include "featurize/partitioner.h"
 #include "gtest/gtest.h"
 #include "serve/bundle.h"
@@ -242,6 +243,21 @@ TEST(SerializeRoundTrip, MscnRange) {
 
 TEST(SerializeRoundTrip, MscnConjunctive) {
   ExpectRoundTrip("mscn+conj", SmallOptions());
+}
+
+// MSCN resolves bare-named boundaries and per-attribute budgets through the
+// same layout step as the local QFTs; both survive a save and a load.
+TEST(SerializeRoundTrip, MscnConjunctiveWithEquiDepthAndBudgets) {
+  est::EstimatorOptions opts = SmallOptions();
+  opts.conj.partitioner = EquiDepth16();
+  const int num_attrs = featurize::GlobalFeatureSchema::FromCatalog(
+                            GetFixture().catalog)
+                            .schema()
+                            .num_attributes();
+  for (int a = 0; a < num_attrs; ++a) {
+    opts.conj.per_attribute_partitions.push_back(8 + 4 * a);
+  }
+  ExpectRoundTrip("mscn+conj", opts);
 }
 
 TEST(SerializeRoundTrip, StatisticsEstimatorsAreUnimplemented) {
