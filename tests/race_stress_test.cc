@@ -13,6 +13,8 @@
 #include "estimators/registry.h"
 #include "featurize/extensions.h"
 #include "featurize/feature_schema.h"
+#include "ml/dataset.h"
+#include "ml/gbm.h"
 #include "query/query.h"
 #include "serve/fss.h"
 #include "serve/router.h"
@@ -483,6 +485,59 @@ TEST_F(RaceStressTest, FeedbackBusPublishVersusPredictOnAdaptiveFront) {
   late.true_card = truths[0];
   bus.Publish(std::move(late));
   EXPECT_EQ(adaptive.ingested(), expected);
+}
+
+// A GB fit on one thread (its tree levels, binning and prediction loops
+// run on the global pool) while the other threads stream EstimateBatch
+// through the same pool: whoever finds the pool busy runs inline, and both
+// sides still produce the bytes they produce alone.
+TEST_F(RaceStressTest, GbFitBesideConcurrentEstimateBatch) {
+  std::vector<std::vector<float>> xs;
+  std::vector<float> ys;
+  for (int i = 0; i < 600; ++i) {
+    std::vector<float> x;
+    for (int c = 0; c < 6; ++c) {
+      x.push_back(static_cast<float>((i * (c + 3) + c) % (17 + 4 * c)));
+    }
+    ys.push_back(0.5f * x[0] - 0.25f * x[3] + (x[5] > 10.0f ? 2.0f : 0.0f));
+    xs.push_back(std::move(x));
+  }
+  const ml::Dataset train = ml::Dataset::FromVectors(xs, ys).value();
+  ml::GbmParams params;
+  params.num_trees = 30;
+  const auto fit_bytes = [&] {
+    ml::GradientBoosting model(params);
+    EXPECT_TRUE(model.Fit(train, nullptr).ok());
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(model.Serialize(&bytes).ok());
+    return bytes;
+  };
+  const std::vector<uint8_t> reference_model = fit_bytes();
+
+  const storage::Catalog catalog = StressCatalog();
+  const std::vector<query::Query> queries = StressQueries(kBatch);
+  auto built = est::MakeEstimator("postgres", catalog);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::unique_ptr<est::CardinalityEstimator> estimator =
+      std::move(built).value();
+  const std::vector<double> reference =
+      estimator->EstimateBatch(queries).value();
+
+  std::atomic<bool> done{false};
+  RunConcurrently([&](int t) {
+    if (t == 0) {
+      EXPECT_EQ(fit_bytes(), reference_model);
+      done.store(true, std::memory_order_release);
+      return;
+    }
+    int batches = 0;
+    while (!done.load(std::memory_order_acquire) || batches < 3) {
+      auto result = estimator->EstimateBatch(queries);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result.value(), reference) << "thread " << t;
+      ++batches;
+    }
+  });
 }
 
 TEST_F(RaceStressTest, ParallelForExceptionSmallestIndexWinsUnderContention) {
