@@ -1,7 +1,8 @@
 // Batch-API scaling: wall-clock of the pipeline stages (labeling of a
-// conjunctive and of a mixed draw, featurization, batched estimation) at
-// 1 thread vs N threads, asserting on the way that every parallel result is
-// byte-identical to the serial one.
+// conjunctive and of a mixed draw, featurization, batched estimation, GB
+// training) at 1 thread vs N threads, asserting on the way that every
+// parallel result (the serialized GB model too) is byte-identical to the
+// serial one.
 // N defaults to the hardware concurrency; override with QFCARD_THREADS.
 // Speedup is ~1x on a single-core machine by construction.
 
@@ -22,6 +23,7 @@ struct StageTimes {
   double featurize_s = 0.0;
   double gb_batch_s = 0.0;
   double sampling_batch_s = 0.0;
+  double train_gb_s = 0.0;
 };
 
 // Per-stage outputs of one pipeline run, compared across thread counts.
@@ -31,12 +33,29 @@ struct StageOutputs {
   ml::Matrix features;
   std::vector<double> gb_ests;
   std::vector<double> sampling_ests;
+  std::vector<uint8_t> gb_model;
 };
 
 std::vector<double> Cards(const std::vector<workload::LabeledQuery>& labeled) {
   std::vector<double> cards;
   for (const workload::LabeledQuery& lq : labeled) cards.push_back(lq.card);
   return cards;
+}
+
+// The mixed training draw, featurized by the complex QFT with log labels:
+// the set a gb+complex estimator fits.
+ml::Dataset MixedTrainingSet(const ForestBundle& bundle) {
+  const auto featurizer = MakeQft("complex", bundle.schema);
+  std::vector<query::Query> queries;
+  ml::Dataset data;
+  for (const workload::LabeledQuery& lq : bundle.mixed_train) {
+    queries.push_back(lq.query);
+    data.y.push_back(ml::CardToLabel(lq.card));
+  }
+  data.x = ml::Matrix(static_cast<int>(queries.size()), featurizer->dim());
+  QFCARD_CHECK_OK(featurizer->FeaturizeBatch(
+      {queries.data(), queries.size()}, data.x.data().data()));
+  return data;
 }
 
 // Runs the pipeline stages at the current global pool size. `queries` are
@@ -46,7 +65,7 @@ StageTimes RunPipeline(const ForestBundle& bundle,
                        const std::vector<query::Query>& queries,
                        const std::vector<query::Query>& mixed_queries,
                        const est::CardinalityEstimator& gb,
-                       StageOutputs* out) {
+                       const ml::Dataset& gb_train, StageOutputs* out) {
   StageTimes times;
   {
     obs::ScopedTimer timer;
@@ -82,6 +101,13 @@ StageTimes RunPipeline(const ForestBundle& bundle,
     obs::ScopedTimer timer;
     out->sampling_ests = sampling->EstimateBatch(queries).value();
     times.sampling_batch_s = timer.Seconds();
+  }
+  {
+    ml::GradientBoosting model(DefaultGbm());
+    obs::ScopedTimer timer;
+    QFCARD_CHECK_OK(model.Fit(gb_train, nullptr));
+    times.train_gb_s = timer.Seconds();
+    QFCARD_CHECK_OK(model.Serialize(&out->gb_model));
   }
   return times;
 }
@@ -130,6 +156,7 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries,
   stage("featurize", serial.featurize_s, parallel.featurize_s);
   stage("gb_batch", serial.gb_batch_s, parallel.gb_batch_s);
   stage("sampling_batch", serial.sampling_batch_s, parallel.sampling_batch_s);
+  stage("train_gb", serial.train_gb_s, parallel.train_gb_s);
   json += "]}\n";
   out << json;
   return static_cast<bool>(out);
@@ -169,13 +196,15 @@ void Run(const std::string& benchmark_out) {
     QFCARD_CHECK_OK(gb->Train(train_queries, Cards(bundle.conj_train), 0.1, 7));
   }
 
+  const ml::Dataset gb_train = MixedTrainingSet(bundle);
+
   StageOutputs out1, outN;
   common::SetGlobalThreads(1);
   const StageTimes serial =
-      RunPipeline(bundle, queries, mixed_queries, *gb, &out1);
+      RunPipeline(bundle, queries, mixed_queries, *gb, gb_train, &out1);
   common::SetGlobalThreads(threads);
   const StageTimes parallel =
-      RunPipeline(bundle, queries, mixed_queries, *gb, &outN);
+      RunPipeline(bundle, queries, mixed_queries, *gb, gb_train, &outN);
   common::SetGlobalThreads(1);
 
   CheckIdentical(out1.cards, outN.cards, "labeling");
@@ -184,6 +213,7 @@ void Run(const std::string& benchmark_out) {
   CheckIdentical(out1.gb_ests, outN.gb_ests, "GB EstimateBatch");
   CheckIdentical(out1.sampling_ests, outN.sampling_ests,
                  "Sampling EstimateBatch");
+  CheckIdentical(out1.gb_model, outN.gb_model, "GB Fit model bytes");
 
   eval::TablePrinter table({"stage", "1 thread (s)",
                             common::StrFormat("%d threads (s)", threads),
@@ -201,6 +231,9 @@ void Run(const std::string& benchmark_out) {
   add("GB EstimateBatch", serial.gb_batch_s, parallel.gb_batch_s);
   add("Sampling EstimateBatch", serial.sampling_batch_s,
       parallel.sampling_batch_s);
+  const std::string fit_stage = common::StrFormat(
+      "GB Fit (%d x %d, complex)", gb_train.num_rows(), gb_train.dim());
+  add(fit_stage.c_str(), serial.train_gb_s, parallel.train_gb_s);
 
   std::printf("Batch pipeline scaling, %zu queries and %zu mixed (results "
               "byte-identical across thread counts)\n",

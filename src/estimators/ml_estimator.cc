@@ -17,11 +17,18 @@ common::Status MlEstimator::Train(const std::vector<query::Query>& queries,
   }
   // One batched featurization pass straight into the training matrix.
   ml::Dataset all;
-  all.x = ml::Matrix(static_cast<int>(queries.size()), featurizer_->dim());
-  QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
-      {queries.data(), queries.size()}, all.x.data().data()));
-  all.y.reserve(cards.size());
-  for (const double card : cards) all.y.push_back(ml::CardToLabel(card));
+  {
+    obs::TraceSpan featurize_span("train.featurize");
+    obs::ScopedTimer featurize_timer("train.featurize_seconds",
+                                     backend_label_);
+    all.x = ml::Matrix(static_cast<int>(queries.size()), featurizer_->dim());
+    QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
+        {queries.data(), queries.size()}, all.x.data().data()));
+    all.y.reserve(cards.size());
+    for (const double card : cards) all.y.push_back(ml::CardToLabel(card));
+  }
+  obs::TraceSpan fit_span("train.fit");
+  obs::ScopedTimer fit_timer("train.fit_seconds", backend_label_);
   if (valid_fraction <= 0.0) {
     return model_->Fit(all, nullptr);
   }
@@ -90,10 +97,17 @@ common::Status MscnEstimator::Train(const std::vector<query::Query>& queries,
     return common::Status::InvalidArgument("queries/cards length mismatch");
   }
   std::vector<featurize::MscnSample> samples;
-  QFCARD_RETURN_IF_ERROR(FeaturizeMscnBatch(featurizer_, queries, &samples));
   std::vector<float> labels;
-  labels.reserve(cards.size());
-  for (const double card : cards) labels.push_back(ml::CardToLabel(card));
+  {
+    obs::TraceSpan featurize_span("train.featurize");
+    obs::ScopedTimer featurize_timer("train.featurize_seconds",
+                                     backend_label_);
+    QFCARD_RETURN_IF_ERROR(FeaturizeMscnBatch(featurizer_, queries, &samples));
+    labels.reserve(cards.size());
+    for (const double card : cards) labels.push_back(ml::CardToLabel(card));
+  }
+  obs::TraceSpan fit_span("train.fit");
+  obs::ScopedTimer fit_timer("train.fit_seconds", backend_label_);
   const size_t n_valid = valid_fraction > 0.0
                              ? static_cast<size_t>(valid_fraction *
                                                    static_cast<double>(samples.size()))

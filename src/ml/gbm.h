@@ -19,7 +19,6 @@ struct GbmParams {
   int min_samples_leaf = 20;
   int max_bins = 64;
   double subsample = 1.0;   ///< row fraction per tree (stochastic GB)
-  double colsample = 1.0;   ///< feature fraction per node
   int early_stopping_rounds = 20;  ///< 0 disables; needs a valid set
   uint64_t seed = 17;
 };
