@@ -53,8 +53,7 @@ ml::Dataset MixedTrainingSet(const ForestBundle& bundle) {
     data.y.push_back(ml::CardToLabel(lq.card));
   }
   data.x = ml::Matrix(static_cast<int>(queries.size()), featurizer->dim());
-  QFCARD_CHECK_OK(featurizer->FeaturizeBatch(
-      {queries.data(), queries.size()}, data.x.data().data()));
+  QFCARD_CHECK_OK(featurizer->FeaturizeBatch(queries, data.x.data().data()));
   return data;
 }
 
@@ -84,8 +83,8 @@ StageTimes RunPipeline(const ForestBundle& bundle,
     out->features =
         ml::Matrix(static_cast<int>(queries.size()), featurizer->dim());
     obs::ScopedTimer timer;
-    QFCARD_CHECK_OK(featurizer->FeaturizeBatch(
-        {queries.data(), queries.size()}, out->features.data().data()));
+    QFCARD_CHECK_OK(
+        featurizer->FeaturizeBatch(queries, out->features.data().data()));
     times.featurize_s = timer.Seconds();
   }
   {

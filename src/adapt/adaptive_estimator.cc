@@ -1,7 +1,11 @@
 #include "adapt/adaptive_estimator.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "ml/dataset.h"
@@ -20,6 +24,28 @@ common::StatusOr<AdaptiveMode> ParseAdaptiveMode(const std::string& text) {
   return common::Status::InvalidArgument(
       "adaptive mode must be one of off|knn|residual|auto, got: " + text);
 }
+
+namespace {
+
+constexpr size_t kNumTiers = static_cast<size_t>(est::ServedTier::kMl) + 1;
+
+/// The adapt.predictions{tier=<tier>} counter, resolved on the tier's first
+/// use (registry pointers stay valid for the process lifetime), so serving
+/// a request builds no label string and takes no registry lock.
+obs::Counter* PredictionsCounter(est::ServedTier tier) {
+  static std::array<std::atomic<obs::Counter*>, kNumTiers> handles{};
+  std::atomic<obs::Counter*>& handle = handles[static_cast<size_t>(tier)];
+  obs::Counter* counter = handle.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = obs::MetricsRegistry::Global().CounterNamed(
+        "adapt.predictions",
+        std::string("tier=") + est::ServedTierName(tier));
+    handle.store(counter, std::memory_order_release);
+  }
+  return counter;
+}
+
+}  // namespace
 
 const char* AdaptiveModeName(AdaptiveMode mode) {
   switch (mode) {
@@ -184,21 +210,27 @@ AdaptiveEstimator::TierPick AdaptiveEstimator::PickTier(uint64_t fss) const {
 
 common::StatusOr<std::vector<est::EstimateResponse>>
 AdaptiveEstimator::EstimateRequests(
-    const std::vector<est::EstimateRequest>& requests) const {
+    common::Gathered<est::EstimateRequest> requests) const {
   obs::TraceSpan span("adapt.predict");
   obs::ScopedTimer timer("adapt.predict_seconds");
   const size_t n = requests.size();
   std::vector<est::EstimateResponse> responses(n);
   std::vector<uint64_t> fss(n);
+  std::array<uint64_t, kNumTiers> picked{};
   for (size_t i = 0; i < n; ++i) {
     fss[i] = requests[i].route_hint != 0
                  ? requests[i].route_hint
                  : serve::FeatureSpaceHash(requests[i].query);
     TierPick pick = PickTier(fss[i]);
-    obs::IncrementCounter("adapt.predictions",
-                          std::string("tier=") + est::ServedTierName(pick.tier));
+    ++picked[static_cast<size_t>(pick.tier)];
     responses[i].tier = pick.tier;
     responses[i].tier_reason = std::move(pick.reason);
+  }
+  if (obs::MetricsEnabled()) {
+    for (size_t t = 0; t < kNumTiers; ++t) {
+      if (picked[t] == 0) continue;
+      PredictionsCounter(static_cast<est::ServedTier>(t))->Add(picked[t]);
+    }
   }
 
   // Cheap tiers inline. Stop at the first failure: the serial loop would
@@ -239,14 +271,17 @@ AdaptiveEstimator::EstimateRequests(
     ml_rows.push_back(i);
   }
 
-  // The heavy path, one batch. Every ML row precedes the first inline
-  // failure, so an ML error is the smallest failing index.
+  // The heavy path, one batch over the callers' own queries. Every ML row
+  // precedes the first inline failure, so an ML error is the smallest
+  // failing index.
   if (!ml_rows.empty()) {
-    std::vector<query::Query> ml_queries;
-    ml_queries.reserve(ml_rows.size());
-    for (const size_t i : ml_rows) ml_queries.push_back(requests[i].query);
-    QFCARD_ASSIGN_OR_RETURN(const std::vector<double> estimates,
-                            ml_->EstimateBatch(ml_queries));
+    std::vector<const query::Query*> ml_queries(ml_rows.size());
+    for (size_t k = 0; k < ml_rows.size(); ++k) {
+      ml_queries[k] = &requests[ml_rows[k]].query;
+    }
+    QFCARD_ASSIGN_OR_RETURN(
+        const std::vector<double> estimates,
+        ml_->EstimateBatch(std::span<const query::Query* const>(ml_queries)));
     for (size_t k = 0; k < ml_rows.size(); ++k) {
       responses[ml_rows[k]].estimate = estimates[k];
     }

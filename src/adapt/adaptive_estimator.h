@@ -95,7 +95,7 @@ class AdaptiveEstimator : public est::CardinalityEstimator {
   /// returns the error of the smallest failing index, as the serial
   /// per-request loop would.
   common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
-      const std::vector<est::EstimateRequest>& requests) const override;
+      common::Gathered<est::EstimateRequest> requests) const override;
   common::StatusOr<double> EstimateCard(const query::Query& q) const override;
 
   common::Status Train(const std::vector<query::Query>& queries,

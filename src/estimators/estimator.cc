@@ -1,5 +1,6 @@
 #include "estimators/estimator.h"
 
+#include <span>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -10,22 +11,23 @@ namespace qfcard::est {
 
 common::StatusOr<EstimateResponse> CardinalityEstimator::Estimate(
     const EstimateRequest& request) const {
-  QFCARD_ASSIGN_OR_RETURN(std::vector<EstimateResponse> responses,
-                          EstimateRequests({request}));
+  QFCARD_ASSIGN_OR_RETURN(
+      std::vector<EstimateResponse> responses,
+      EstimateRequests(std::span<const EstimateRequest>(&request, 1)));
   return std::move(responses.front());
 }
 
 common::StatusOr<std::vector<EstimateResponse>>
 CardinalityEstimator::EstimateRequests(
-    const std::vector<EstimateRequest>& requests) const {
+    common::Gathered<EstimateRequest> requests) const {
   obs::ScopedTimer timer;
-  std::vector<query::Query> queries;
-  queries.reserve(requests.size());
-  for (const EstimateRequest& request : requests) {
-    queries.push_back(request.query);
+  std::vector<const query::Query*> queries(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    queries[i] = &requests[i].query;
   }
-  QFCARD_ASSIGN_OR_RETURN(const std::vector<double> estimates,
-                          EstimateBatch(queries));
+  QFCARD_ASSIGN_OR_RETURN(
+      const std::vector<double> estimates,
+      EstimateBatch(std::span<const query::Query* const>(queries)));
   const double elapsed = timer.Seconds();
   std::vector<EstimateResponse> responses(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -36,7 +38,7 @@ CardinalityEstimator::EstimateRequests(
 }
 
 common::StatusOr<std::vector<double>> CardinalityEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+    common::Gathered<query::Query> queries) const {
   obs::TraceSpan span("estimate.batch");
   const std::string backend_label = "backend=" + name();
   obs::ScopedTimer timer("estimate.batch_seconds", backend_label);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/gathered.h"
 #include "common/status.h"
 #include "estimators/request.h"
 #include "query/query.h"
@@ -25,6 +26,10 @@ namespace qfcard::est {
 ///   - EstimateRequests: the request API, the one place response provenance
 ///     (tier, model version, latency) is stamped.
 /// Estimate(request) is not virtual: it is EstimateRequests of one request.
+/// Both batch virtuals take a common::Gathered view and have exactly that
+/// one signature: a vector converts to it implicitly, and a batching layer
+/// that holds its callers' requests by address passes them through without
+/// copying a query (docs/batch_api.md).
 /// Implementations must keep EstimateCard const-thread-safe so the default
 /// EstimateBatch can fan it out; estimators with per-call random state (see
 /// SamplingEstimator) derive a deterministic per-query stream so batch
@@ -44,14 +49,15 @@ class CardinalityEstimator {
       const EstimateRequest& request) const;
 
   /// Serves a batch of requests, one response per request in input order.
-  /// The default forwards the extracted queries to EstimateBatch, so
-  /// backends that override EstimateBatch (matrix featurization, batched
-  /// predict) serve requests at full speed without also overriding this; it
-  /// reports route_id/model_version 0 (no routing, no versioning).
+  /// The default forwards a view of the requests' queries (their addresses,
+  /// not copies) to EstimateBatch, so backends that override EstimateBatch
+  /// (matrix featurization, batched predict) serve requests at full speed
+  /// without also overriding this; it reports route_id/model_version 0 (no
+  /// routing, no versioning).
   /// serve::ServingEstimator stamps the active model version, the adaptive
   /// front the serving tier, and serve::EstimationServer the route.
   virtual common::StatusOr<std::vector<EstimateResponse>> EstimateRequests(
-      const std::vector<EstimateRequest>& requests) const;
+      common::Gathered<EstimateRequest> requests) const;
 
   /// Estimates every query, returning one cardinality per query in input
   /// order. The default implementation runs EstimateCard per query on the
@@ -60,7 +66,7 @@ class CardinalityEstimator {
   /// MscnEstimator override this to featurize the whole batch into one
   /// matrix and run the model's batched predict.
   virtual common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const;
+      common::Gathered<query::Query> queries) const;
 
   /// Trains the estimator on labeled queries (`cards` are true cardinalities
   /// in natural space; a `valid_fraction` tail/holdout drives early stopping

@@ -22,8 +22,8 @@ common::Status MlEstimator::Train(const std::vector<query::Query>& queries,
     obs::ScopedTimer featurize_timer("train.featurize_seconds",
                                      backend_label_);
     all.x = ml::Matrix(static_cast<int>(queries.size()), featurizer_->dim());
-    QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
-        {queries.data(), queries.size()}, all.x.data().data()));
+    QFCARD_RETURN_IF_ERROR(
+        featurizer_->FeaturizeBatch(queries, all.x.data().data()));
     all.y.reserve(cards.size());
     for (const double card : cards) all.y.push_back(ml::CardToLabel(card));
   }
@@ -46,7 +46,7 @@ common::StatusOr<double> MlEstimator::EstimateCard(
 }
 
 common::StatusOr<std::vector<double>> MlEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+    common::Gathered<query::Query> queries) const {
   obs::TraceSpan span("estimate.batch");
   obs::ScopedTimer timer("estimate.batch_seconds", backend_label_);
   obs::IncrementCounter("estimate.queries", backend_label_,
@@ -58,8 +58,8 @@ common::StatusOr<std::vector<double>> MlEstimator::EstimateBatch(
     obs::TraceSpan featurize_span("estimate.featurize");
     obs::ScopedTimer featurize_timer("estimate.featurize_seconds",
                                      backend_label_);
-    QFCARD_RETURN_IF_ERROR(featurizer_->FeaturizeBatch(
-        {queries.data(), queries.size()}, x.data().data()));
+    QFCARD_RETURN_IF_ERROR(
+        featurizer_->FeaturizeBatch(queries, x.data().data()));
     obs::StageCapture::Report(obs::Stage::kFeaturize,
                               featurize_timer.Seconds());
   }
@@ -76,7 +76,7 @@ namespace {
 
 // Set-featurizes `queries` in parallel (order-preserving).
 common::Status FeaturizeMscnBatch(const featurize::MscnFeaturizer& featurizer,
-                                  const std::vector<query::Query>& queries,
+                                  common::Gathered<query::Query> queries,
                                   std::vector<featurize::MscnSample>* out) {
   out->assign(queries.size(), featurize::MscnSample{});
   return common::GlobalPool().ParallelForStatus(
@@ -134,7 +134,7 @@ common::StatusOr<double> MscnEstimator::EstimateCard(
 }
 
 common::StatusOr<std::vector<double>> MscnEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+    common::Gathered<query::Query> queries) const {
   obs::TraceSpan span("estimate.batch");
   obs::ScopedTimer timer("estimate.batch_seconds", backend_label_);
   obs::IncrementCounter("estimate.queries", backend_label_,

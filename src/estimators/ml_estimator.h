@@ -37,7 +37,7 @@ class MlEstimator : public CardinalityEstimator {
   /// (Featurizer::FeaturizeBatch) and runs the model's batched predict —
   /// one featurization pass and one model pass instead of per-query calls.
   common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+      common::Gathered<query::Query> queries) const override;
   std::string name() const override {
     return model_->name() + "+" + featurizer_->name();
   }
@@ -84,7 +84,7 @@ class MscnEstimator : public CardinalityEstimator {
   common::StatusOr<double> EstimateCard(const query::Query& q) const override;
   /// Batched estimate: set-featurizes and predicts all queries in parallel.
   common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+      common::Gathered<query::Query> queries) const override;
   std::string name() const override {
     return featurizer_.mode() ==
                    featurize::MscnFeaturizer::PredMode::kPerPredicate

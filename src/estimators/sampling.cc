@@ -38,7 +38,7 @@ common::StatusOr<double> SamplingEstimator::EstimateCard(
 }
 
 common::StatusOr<std::vector<double>> SamplingEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+    common::Gathered<query::Query> queries) const {
   // Ticket i of this batch is exactly the ticket query i would have drawn
   // from a serial EstimateCard loop, so results match it bit for bit.
   const uint64_t base = draws_.fetch_add(queries.size());

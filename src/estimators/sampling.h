@@ -35,7 +35,7 @@ class SamplingEstimator : public CardinalityEstimator {
   /// Parallel batch: reserves one draw ticket per query up front, then
   /// samples all queries concurrently with their per-ticket streams.
   common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+      common::Gathered<query::Query> queries) const override;
   std::string name() const override { return "sampling"; }
   /// Expected resident size of one sample (Section 5.7 reports ~0.1% of the
   /// data size).

@@ -1,8 +1,8 @@
 #include "featurize/conjunction.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +10,57 @@
 namespace qfcard::featurize {
 
 namespace {
+
+// The distinct values one clause excludes with <> (Algorithm 1, line 16),
+// kept sorted. Values compare with `<`, so -0.0 and 0.0 are one value (NaN
+// literals are rejected before they get here). The first kInline values
+// live inline; past that the set moves to this thread's spill buffer,
+// which keeps its capacity, so only a thread's first oversized clause
+// allocates. At most one set per thread is live at a time: clauses are
+// encoded one after another and never recursively.
+class ExcludedValues {
+ public:
+  void Insert(double v) {
+    double* const begin = data();
+    double* const end = begin + size_;
+    double* pos = std::lower_bound(begin, end, v);
+    if (pos != end && !(v < *pos)) return;  // already present
+    const size_t at = static_cast<size_t>(pos - begin);
+    if (spill_ == nullptr && size_ == kInline) {
+      spill_ = &SpillBuffer();
+      spill_->assign(inline_.begin(), inline_.end());
+    }
+    if (spill_ != nullptr) {
+      spill_->insert(spill_->begin() + static_cast<std::ptrdiff_t>(at), v);
+    } else {
+      std::copy_backward(pos, end, end + 1);
+      *pos = v;
+    }
+    ++size_;
+  }
+
+  // How many of the values lie in [lo, hi].
+  int CountWithin(double lo, double hi) const {
+    const double* const begin =
+        spill_ != nullptr ? spill_->data() : inline_.data();
+    return static_cast<int>(std::count_if(
+        begin, begin + size_, [&](double v) { return v >= lo && v <= hi; }));
+  }
+
+ private:
+  static constexpr size_t kInline = 8;
+
+  static std::vector<double>& SpillBuffer() {
+    thread_local std::vector<double> buffer;
+    return buffer;
+  }
+
+  double* data() { return spill_ != nullptr ? spill_->data() : inline_.data(); }
+
+  std::array<double, kInline> inline_{};
+  size_t size_ = 0;
+  std::vector<double>* spill_ = nullptr;
+};
 
 // Encodes one conjunctive clause over `attr` into out[0 .. layout.n),
 // following Algorithm 1 for a single attribute, and stores the
@@ -33,7 +84,7 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
   // Algorithm 1): tightest bounds plus excluded values.
   double min_a = attr.min;
   double max_a = attr.max;
-  std::set<double> nots;
+  ExcludedValues nots;
 
   for (const query::SimplePredicate& p : clause.preds) {
     if (std::isnan(p.value)) {
@@ -93,7 +144,7 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
       case query::CmpOp::kNe:
         if (exact && in_domain) out[idx] = 0.0f;
         // Line 16 (gray).
-        nots.insert(p.value);
+        if (selectivity != nullptr) nots.Insert(p.value);
         break;
     }
   }
@@ -101,10 +152,7 @@ common::Status EncodeClauseForAttr(const AttributeInfo& attr,
   if (selectivity != nullptr) {
     // Lines 17-20 (gray): r_A = qualifying portion of the domain under the
     // uniformity assumption.
-    double c_a = 0;
-    for (const double v : nots) {
-      if (v >= min_a && v <= max_a) c_a += 1.0;
-    }
+    const double c_a = nots.CountWithin(min_a, max_a);
     const double width = attr.integral ? (max_a - min_a + 1.0 - c_a)
                                        : (max_a - min_a - c_a);
     const double r_a = std::max(width, 0.0);
@@ -151,9 +199,13 @@ common::Status EncodeCompoundForAttr(const AttributeInfo& attr,
   // `out`; only later clauses need scratch.
   if (cp.disjuncts.empty()) std::fill(out, out + n_a, 0.0f);
   double merged_sel = 0.0;
-  std::vector<float> scratch;
+  // Later clauses go through this thread's scratch row. It only grows, so
+  // once it fits the widest attribute, encoding allocates nothing.
+  thread_local std::vector<float> scratch;
+  if (cp.disjuncts.size() > 1 && scratch.size() < static_cast<size_t>(n_a)) {
+    scratch.resize(static_cast<size_t>(n_a));
+  }
   for (size_t k = 0; k < cp.disjuncts.size(); ++k) {
-    if (k == 1) scratch.resize(static_cast<size_t>(n_a));
     float* dst = k == 0 ? out : scratch.data();
     double sel = 1.0;
     QFCARD_RETURN_IF_ERROR(EncodeClauseForAttr(

@@ -7,7 +7,7 @@
 namespace qfcard::featurize {
 
 common::Status Featurizer::FeaturizeBatch(
-    std::span<const query::Query> queries, float* out) const {
+    common::Gathered<query::Query> queries, float* out) const {
   obs::TraceSpan span("featurize.batch");
   obs::ScopedTimer timer("featurize.batch_seconds");
   obs::IncrementCounter("featurize.queries", /*labels=*/"",

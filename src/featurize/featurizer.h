@@ -1,10 +1,10 @@
 #ifndef QFCARD_FEATURIZE_FEATURIZER_H_
 #define QFCARD_FEATURIZE_FEATURIZER_H_
 
-#include <span>
 #include <string>
 #include <vector>
 
+#include "common/gathered.h"
 #include "common/status.h"
 #include "query/query.h"
 
@@ -47,7 +47,7 @@ class Featurizer {
   /// a serial loop would hit first); `out` contents are then unspecified.
   /// FeaturizeInto implementations must be const-thread-safe, which holds
   /// for every QFT here (pure functions of the query and the schema).
-  virtual common::Status FeaturizeBatch(std::span<const query::Query> queries,
+  virtual common::Status FeaturizeBatch(common::Gathered<query::Query> queries,
                                         float* out) const;
 
   /// Convenience wrapper allocating the output vector.

@@ -149,22 +149,26 @@ double Histogram::Quantile(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total);
+  // No quantile exceeds the largest observation, although the winning
+  // bucket's edge or interpolation point may.
+  const double max = Max();
   double cum = 0.0;
   for (size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;
     const double next = cum + static_cast<double>(counts[i]);
     if (next >= target) {
-      if (i == counts.size() - 1) return Max();  // overflow bucket
-      if (i == 0) return bounds_[0];  // first bucket reports its upper edge
+      if (i == counts.size() - 1) return max;  // overflow bucket
+      // The first bucket has no lower edge: it reports its upper one.
+      if (i == 0) return std::min(bounds_[0], max);
       const double lo = bounds_[i - 1];
       const double hi = bounds_[i];
       const double frac =
           (target - cum) / static_cast<double>(counts[i]);
-      return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
+      return std::min(lo + std::clamp(frac, 0.0, 1.0) * (hi - lo), max);
     }
     cum = next;
   }
-  return Max();
+  return max;
 }
 
 const std::vector<double>& LatencyBounds() {
@@ -298,14 +302,20 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [key, entry] : histograms_) {
     if (!std::exchange(first, false)) out << ",";
     const Histogram& h = entry->metric;
+    const double p50 = h.P50();
+    const double p90 = h.P90();
+    const double p95 = h.P95();
+    // Read after the quantiles: the max only grows, so a concurrent
+    // Observe cannot leave a quantile above the exported max.
+    const double max = h.Max();
     out << "{\"name\":\"" << JsonEscape(entry->name) << "\",\"labels\":\""
         << JsonEscape(entry->labels) << "\",\"count\":" << h.Count()
         << ",\"sum\":" << FormatDouble(h.Sum())
         << ",\"mean\":" << FormatDouble(h.Mean())
-        << ",\"max\":" << FormatDouble(h.Max())
-        << ",\"p50\":" << FormatDouble(h.P50())
-        << ",\"p90\":" << FormatDouble(h.P90())
-        << ",\"p95\":" << FormatDouble(h.P95()) << ",\"buckets\":[";
+        << ",\"max\":" << FormatDouble(max)
+        << ",\"p50\":" << FormatDouble(p50)
+        << ",\"p90\":" << FormatDouble(p90)
+        << ",\"p95\":" << FormatDouble(p95) << ",\"buckets\":[";
     const std::vector<uint64_t> counts = h.BucketCounts();
     for (size_t i = 0; i < counts.size(); ++i) {
       if (i > 0) out << ",";

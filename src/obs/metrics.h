@@ -104,7 +104,8 @@ class Gauge {
 /// relaxed fetch_add on the bucket, atomic fetch_add on the sum, CAS loop on
 /// the max. Quantile() linearly interpolates inside the winning bucket (the
 /// overflow bucket reports the exact observed max), matching the fixed
-/// per-bucket resolution trade-off of Prometheus-style histograms.
+/// per-bucket resolution trade-off of Prometheus-style histograms, and never
+/// reports more than the observed max.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);

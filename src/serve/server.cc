@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -367,12 +368,15 @@ bool EstimationServer::FlushOneBatch() {
     // Stage capture: the backend's featurize/predict blocks report their
     // seconds here, giving every member its attribution split.
     obs::StageCapture capture;
-    std::vector<est::EstimateRequest> requests(batch.size());
+    // The members' own requests, read in place: each client blocks until
+    // its request is answered, which happens only after this call returns.
+    std::vector<const est::EstimateRequest*> requests(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      requests[i].query = batch[i].request->query;
+      requests[i] = batch[i].request;
     }
     common::StatusOr<std::vector<est::EstimateResponse>> result =
-        serving->EstimateRequests(requests);
+        serving->EstimateRequests(
+            std::span<const est::EstimateRequest* const>(requests));
     if (!result.ok()) span.MarkError();
     exec_seconds = exec_timer.Seconds();
     featurize_seconds = capture.seconds(obs::Stage::kFeaturize);

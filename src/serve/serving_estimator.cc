@@ -32,7 +32,7 @@ common::StatusOr<double> ServingEstimator::EstimateCard(
 
 common::StatusOr<std::vector<est::EstimateResponse>>
 ServingEstimator::EstimateRequests(
-    const std::vector<est::EstimateRequest>& requests) const {
+    common::Gathered<est::EstimateRequest> requests) const {
   obs::ScopedTimer timer;
   // One pin holds one fully-published model for the whole batch, read with
   // its version in one hold: a concurrent Swap can neither tear the batch
@@ -46,8 +46,8 @@ ServingEstimator::EstimateRequests(
   }
   // Delegate to the model's request path (not EstimateBatch directly) so
   // inner-stamped provenance — the adaptive front's tier/tier_reason —
-  // reaches the client. The default implementation forwards the extracted
-  // queries to EstimateBatch, so estimates equal EstimateBatch's.
+  // reaches the client. The default implementation forwards a view of the
+  // requests' queries to EstimateBatch, so estimates equal EstimateBatch's.
   QFCARD_ASSIGN_OR_RETURN(std::vector<est::EstimateResponse> responses,
                           model->EstimateRequests(requests));
   const double elapsed = timer.Seconds();
@@ -59,7 +59,7 @@ ServingEstimator::EstimateRequests(
 }
 
 common::StatusOr<std::vector<double>> ServingEstimator::EstimateBatch(
-    const std::vector<query::Query>& queries) const {
+    common::Gathered<query::Query> queries) const {
   // Pinned once: the whole batch runs against one model.
   return Active()->EstimateBatch(queries);
 }

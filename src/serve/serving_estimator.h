@@ -45,9 +45,9 @@ class ServingEstimator : public est::CardinalityEstimator {
   /// EstimateRequests also stamps each response with the served model
   /// version (docs/batch_api.md).
   common::StatusOr<std::vector<est::EstimateResponse>> EstimateRequests(
-      const std::vector<est::EstimateRequest>& requests) const override;
+      common::Gathered<est::EstimateRequest> requests) const override;
   common::StatusOr<std::vector<double>> EstimateBatch(
-      const std::vector<query::Query>& queries) const override;
+      common::Gathered<query::Query> queries) const override;
 
   /// The active model is immutable: train a candidate offline and Swap it
   /// in (see adapt::Retrainer). Always returns FailedPrecondition.

@@ -89,8 +89,7 @@ TEST_F(BatchApiTest, FeaturizeBatchMatchesFeaturizeInto) {
   for (const int threads : {1, 4}) {
     common::SetGlobalThreads(threads);
     ml::Matrix batch(n, featurizer->dim());
-    QFCARD_CHECK_OK(featurizer->FeaturizeBatch(
-        {f.queries.data(), f.queries.size()}, batch.data().data()));
+    QFCARD_CHECK_OK(featurizer->FeaturizeBatch(f.queries, batch.data().data()));
     EXPECT_EQ(serial.data(), batch.data()) << threads << " threads";
   }
 }

@@ -133,11 +133,14 @@ TEST_F(MetricsTest, ResetForTestZeroesInPlaceKeepingPointersValid) {
 TEST_F(MetricsTest, QuantileInterpolationAndEdgeBuckets) {
   Histogram hist({1.0, 2.0, 4.0});
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.0);  // empty
-  // All mass in the first bucket: quantiles report its upper edge.
+  // All mass in the first bucket: quantiles report its upper edge, capped
+  // at the observed max.
   hist.Observe(0.5);
   hist.Observe(0.25);
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.5);
+  EXPECT_DOUBLE_EQ(hist.Quantile(0.99), 0.5);
+  hist.Observe(3.0);
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.99), 1.0);
   hist.Reset();
   // All mass past the last edge: the overflow bucket reports the exact max.
   hist.Observe(10.0);
@@ -145,11 +148,29 @@ TEST_F(MetricsTest, QuantileInterpolationAndEdgeBuckets) {
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 20.0);
   EXPECT_DOUBLE_EQ(hist.Max(), 20.0);
   hist.Reset();
-  // Interior bucket: linear interpolation between its edges. Ten values in
-  // (1, 2]; the median lands halfway through that bucket.
+  // Interior bucket: linear interpolation between its edges, capped at the
+  // observed max. Ten values in (1, 2]; the median lands halfway through
+  // that bucket.
   for (int i = 0; i < 10; ++i) hist.Observe(1.5);
   EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 1.5);
-  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 1.5);
+  hist.Observe(1.9);
+  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 1.9);
+}
+
+// One observation: no quantile reads above it (a single 0.0731 s fit once
+// read p50 0.075 s and p95 0.0975 s), whichever bucket it lands in.
+TEST_F(MetricsTest, QuantilesNeverExceedMax) {
+  for (const double v : {5e-7, 0.0731, 0.3, 60.0}) {
+    Histogram hist(LatencyBounds());
+    hist.Observe(v);
+    EXPECT_LE(hist.P50(), hist.Max()) << v;
+    EXPECT_LE(hist.P95(), hist.Max()) << v;
+  }
+  Histogram hist(LatencyBounds());
+  hist.Observe(0.0731);
+  EXPECT_DOUBLE_EQ(hist.P50(), 0.0731);
+  EXPECT_DOUBLE_EQ(hist.P95(), 0.0731);
 }
 
 TEST_F(MetricsTest, StandardBoundsAreStrictlyAscending) {

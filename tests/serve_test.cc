@@ -171,7 +171,7 @@ TEST(ServingEstimatorTest, ForwardsAndSwaps) {
   auto one = serving.EstimateCard(q);
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(*one, 42.0);
-  auto batch = serving.EstimateBatch({q, q, q});
+  auto batch = serving.EstimateBatch(std::vector<query::Query>{q, q, q});
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(*batch, (std::vector<double>{42.0, 42.0, 42.0}));
 

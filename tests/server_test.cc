@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "adapt/adaptive_estimator.h"
+#include "common/gathered.h"
+#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
@@ -477,6 +479,75 @@ TEST(EstimationServer, AdaptiveRouteReportsMlStages) {
     EXPECT_EQ(responses[i]->tier, est::ServedTier::kMl);
     EXPECT_GT(responses[i]->stages.featurize_seconds, 0.0) << i;
     EXPECT_GT(responses[i]->stages.predict_seconds, 0.0) << i;
+  }
+}
+
+/// Records the address of every query its EstimateBatch receives, so a test
+/// can tell the callers' own queries from copies of them.
+class AddressRecordingEstimator : public est::CardinalityEstimator {
+ public:
+  common::StatusOr<double> EstimateCard(const query::Query&) const override {
+    return 7.0;
+  }
+  common::StatusOr<std::vector<double>> EstimateBatch(
+      common::Gathered<query::Query> queries) const override {
+    common::MutexLock lock(&mu_);
+    for (size_t i = 0; i < queries.size(); ++i) seen_.insert(&queries[i]);
+    return std::vector<double>(queries.size(), 7.0);
+  }
+  std::string name() const override { return "address-recorder"; }
+
+  std::set<const query::Query*> TakeSeen() const {
+    common::MutexLock lock(&mu_);
+    return std::exchange(seen_, {});
+  }
+
+ private:
+  mutable common::Mutex mu_;
+  mutable std::set<const query::Query*> seen_ QFCARD_GUARDED_BY(mu_);
+};
+
+// The estimate path reads the callers' queries in place: through the
+// server's micro-batches and the ServingEstimator, and through the adaptive
+// front's ML tier (directly and behind the server), the batch primitive
+// sees each caller's &request.query, not a copy.
+TEST(EstimationServer, BatchPrimitiveReadsCallersQueriesInPlace) {
+  const storage::Catalog catalog = ServerCatalog();
+  const auto recorder = std::make_shared<const AddressRecordingEstimator>();
+  adapt::AdaptiveOptions aopts;
+  aopts.mode = adapt::AdaptiveMode::kOff;
+  const auto front = std::make_shared<const adapt::AdaptiveEstimator>(
+      Postgres(catalog), recorder,
+      std::shared_ptr<const featurize::Featurizer>(featurize::MakeFeaturizer(
+          featurize::QftKind::kComplex,
+          featurize::FeatureSchema::FromTable(catalog.table(0)))),
+      aopts);
+
+  std::vector<est::EstimateRequest> requests(10);
+  std::set<const query::Query*> callers;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].query = i % 2 == 0 ? ShapeA(4.0 * static_cast<double>(i))
+                                   : ShapeB(i % 11, i % 5);
+    callers.insert(&requests[i].query);
+  }
+
+  auto direct = front->EstimateRequests(requests);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(recorder->TakeSeen(), callers) << "adaptive ML tier";
+
+  using Model = std::shared_ptr<const est::CardinalityEstimator>;
+  for (const Model& model : {Model(recorder), Model(front)}) {
+    ModelRouter router(SharedModelOptions(model));
+    EstimationServer server(&router);
+    server.Start();
+    const auto responses = server.EstimateMany(requests);
+    EXPECT_TRUE(server.Estimate(requests[3]).ok());
+    server.Stop();
+    for (const auto& response : responses) {
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->estimate, 7.0);
+    }
+    EXPECT_EQ(recorder->TakeSeen(), callers) << model->name();
   }
 }
 

@@ -11,7 +11,7 @@ series present.
 Checks, in order:
   1. structural — top-level keys, version, counter/gauge/histogram row shapes,
      every histogram's buckets end in le="+Inf" and bucket counts sum to the
-     histogram count;
+     histogram count, and its quantiles are ordered p50 <= p90 <= p95 <= max;
   2. schema-required series — counters/histograms named in the schema exist
      (optionally matched by a labels prefix, e.g. any `backend=` label set);
   3. liveness — schema 'nonzero' counters have a summed value > 0 and
@@ -75,10 +75,18 @@ def check_structure(snap: dict, chk: Checker) -> None:
                 check_histogram_row(row, where, chk)
 
 
+QUANTILE_ORDER = ("p50", "p90", "p95", "max")
+
+
 def check_histogram_row(row: dict, where: str, chk: Checker) -> None:
     for field in ("count", "sum", "mean", "max", "p50", "p90", "p95"):
         chk.require(isinstance(row.get(field), NUMERIC),
                     f"{where} missing numeric '{field}'")
+    if all(isinstance(row.get(f), NUMERIC) for f in QUANTILE_ORDER):
+        for lo, hi in zip(QUANTILE_ORDER, QUANTILE_ORDER[1:]):
+            chk.require(row[lo] <= row[hi],
+                        f"{where} ({row.get('name')}) {lo} {row[lo]} exceeds "
+                        f"{hi} {row[hi]}")
     buckets = row.get("buckets")
     if not chk.require(isinstance(buckets, list) and buckets,
                        f"{where} missing non-empty 'buckets'"):
