@@ -12,25 +12,20 @@ ColumnSynopsis BuildSynopsis(const storage::Column& col,
   ColumnSynopsis s;
   s.rows = col.size();
   s.integral = col.integral();
+  // The column's cached value counts: distinct values in ascending order,
+  // each with its row count. NaN rows hold no value, so they only dilute
+  // the MCV frequencies.
   const storage::ColumnStats& stats = col.GetStats();
   s.min = stats.min;
   s.max = stats.max;
   s.distinct = std::max<int64_t>(stats.distinct, 1);
-  if (col.size() == 0) return s;
-
-  // One sorted copy serves both statistics. Its runs are the distinct
-  // values in ascending order, each with its count.
-  std::vector<double> sorted = col.data();
-  std::sort(sorted.begin(), sorted.end());
+  if (stats.values.empty()) return s;
 
   // Most common values.
   std::vector<std::pair<int64_t, double>> by_count;
-  by_count.reserve(static_cast<size_t>(s.distinct));
-  for (size_t i = 0; i < sorted.size();) {
-    size_t j = i + 1;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    by_count.push_back({static_cast<int64_t>(j - i), sorted[i]});
-    i = j;
+  by_count.reserve(stats.values.size());
+  for (size_t i = 0; i < stats.values.size(); ++i) {
+    by_count.push_back({stats.counts[i], stats.values[i]});
   }
   std::sort(by_count.begin(), by_count.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -47,13 +42,7 @@ ColumnSynopsis BuildSynopsis(const storage::Column& col,
 
   // Equi-depth histogram over all values (Postgres builds it over non-MCV
   // values; including them only flattens the estimate slightly).
-  const int buckets = std::max(1, options.histogram_buckets);
-  s.hist_bounds.push_back(sorted.front());
-  for (int b = 1; b <= buckets; ++b) {
-    const size_t pos = static_cast<size_t>(
-        static_cast<double>(b) / buckets * static_cast<double>(sorted.size() - 1));
-    s.hist_bounds.push_back(sorted[pos]);
-  }
+  s.hist_bounds = stats.RankValues(std::max(1, options.histogram_buckets));
   return s;
 }
 

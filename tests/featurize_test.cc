@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -195,6 +196,26 @@ TEST(VOptimalPartitionerTest, UnknownAttributeFallsBackToEquiWidth) {
   EXPECT_EQ(LayoutOf(part, other, 8).n, LayoutOf(nullptr, other, 8).n);
   EXPECT_EQ(LayoutOf(part, other, 8).IndexOf(other, 50),
             LayoutOf(nullptr, other, 8).IndexOf(other, 50));
+}
+
+// NaN rows hold no value, so the partitioners place boundaries among the
+// other rows only; an all-NaN column is like an empty one.
+TEST(PartitionerNanTest, NanRowsHoldNoValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  storage::Table t("t");
+  QFCARD_CHECK_OK(t.AddColumn(testutil::FloatColumn(
+      "x", {nan, 4.0, 1.0, nan, 2.0, nan, 3.0, nan, nan, 1.0})));
+  QFCARD_CHECK_OK(
+      t.AddColumn(testutil::FloatColumn("n", std::vector<double>(10, nan))));
+  const Partitioner depth = Partitioner::EquiDepth(t, 4);
+  EXPECT_EQ(depth.boundaries()[0], (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_TRUE(depth.boundaries()[1].empty());
+  const Partitioner vopt = Partitioner::VOptimal(t, 4);
+  for (const double b : vopt.boundaries()[0]) EXPECT_FALSE(std::isnan(b));
+  EXPECT_TRUE(vopt.boundaries()[1].empty());
+  // The top value holds 2 of 10 rows (NaN rows count in the denominator).
+  EXPECT_EQ(SkewAwarePartitions(t, 8, 2, 0.15), (std::vector<int>{16, 8}));
+  EXPECT_EQ(SkewAwarePartitions(t, 8, 2, 0.25), (std::vector<int>{8, 8}));
 }
 
 // ---------------------------------------------------------------------------

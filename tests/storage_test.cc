@@ -1,5 +1,8 @@
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "storage/catalog.h"
@@ -104,6 +107,66 @@ TEST(ColumnTest, StatsRefreshAfterAppend) {
   EXPECT_EQ(col.GetStats().rows, 3);
 }
 
+TEST(ColumnTest, StatsCountEachDistinctValueInAscendingOrder) {
+  Column col = MakeIntColumn("a", {5, 1, 9, 5, 3, 5, 1});
+  const ColumnStats& stats = col.GetStats();
+  EXPECT_EQ(stats.values, (std::vector<double>{1, 3, 5, 9}));
+  EXPECT_EQ(stats.counts, (std::vector<int64_t>{2, 1, 3, 1}));
+  EXPECT_EQ(stats.distinct, 4);
+  EXPECT_EQ(stats.nan_rows, 0);
+}
+
+TEST(ColumnTest, RankValuesWalkTheSortedRows) {
+  // Sorted rows: 1 1 3 5 5 5 9 (n = 7, ranks floor(k / parts * 6)).
+  Column col = MakeIntColumn("a", {5, 1, 9, 5, 3, 5, 1});
+  const ColumnStats& stats = col.GetStats();
+  EXPECT_EQ(stats.RankValues(1), (std::vector<double>{1, 9}));
+  EXPECT_EQ(stats.RankValues(2), (std::vector<double>{1, 5, 9}));
+  EXPECT_EQ(stats.RankValues(3), (std::vector<double>{1, 3, 5, 9}));
+  EXPECT_EQ(stats.RankValues(6), (std::vector<double>{1, 1, 3, 5, 5, 5, 9}));
+  Column empty("e", ColumnType::kInt64);
+  EXPECT_TRUE(empty.GetStats().RankValues(4).empty());
+}
+
+TEST(ColumnTest, SignedZerosAreOneValueLedByTheFirstInRowOrder) {
+  Column col("z", ColumnType::kFloat64);
+  col.AppendBatch({1.0, 0.0, -0.0, 0.0, -1.0});
+  const ColumnStats& stats = col.GetStats();
+  ASSERT_EQ(stats.values.size(), 3u);
+  EXPECT_EQ(stats.counts, (std::vector<int64_t>{1, 3, 1}));
+  EXPECT_FALSE(std::signbit(stats.values[1]));
+  Column neg("z", ColumnType::kFloat64);
+  neg.AppendBatch({-0.0, 0.0, 2.0});
+  EXPECT_TRUE(std::signbit(neg.GetStats().values[0]));
+  EXPECT_TRUE(std::signbit(neg.GetStats().min));  // as a row-order fold gives
+}
+
+TEST(ColumnTest, NanRowsHoldNoValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column col("f", ColumnType::kFloat64);
+  col.AppendBatch({nan, 2.5, nan, -1.0, 2.5});
+  const ColumnStats& stats = col.GetStats();
+  EXPECT_EQ(stats.rows, 5);
+  EXPECT_EQ(stats.nan_rows, 2);
+  EXPECT_EQ(stats.distinct, 2);
+  EXPECT_EQ(stats.min, -1.0);
+  EXPECT_EQ(stats.max, 2.5);
+  EXPECT_EQ(stats.values, (std::vector<double>{-1.0, 2.5}));
+  EXPECT_EQ(stats.counts, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(stats.RankValues(2), (std::vector<double>{-1.0, 2.5, 2.5}));
+
+  Column all_nan("n", ColumnType::kFloat64);
+  all_nan.AppendBatch({nan, nan});
+  const ColumnStats& none = all_nan.GetStats();
+  EXPECT_EQ(none.rows, 2);
+  EXPECT_EQ(none.nan_rows, 2);
+  EXPECT_EQ(none.distinct, 0);
+  EXPECT_EQ(none.min, 0.0);
+  EXPECT_EQ(none.max, 0.0);
+  EXPECT_TRUE(none.values.empty());
+  EXPECT_TRUE(none.RankValues(3).empty());
+}
+
 TEST(ColumnTest, IntegralityByType) {
   EXPECT_TRUE(Column("a", ColumnType::kInt64).integral());
   EXPECT_TRUE(Column("a", ColumnType::kDictString).integral());
@@ -201,6 +264,25 @@ TEST_F(CsvTest, RoundTripTypedColumns) {
   EXPECT_EQ(loaded.column(2).dictionary().Value(
                 static_cast<int64_t>(loaded.column(2).Get(0))),
             "y");
+}
+
+// strtod accepts "nan", so a float column can load NaN cells; they reach
+// the stats as rows without a value.
+TEST_F(CsvTest, NanCellsLoadAsRowsWithoutAValue) {
+  {
+    std::ofstream out(TempPath());
+    out << "x\n1.5\nnan\n-2.25\nNaN\n1.5\n";
+  }
+  const auto loaded_or = ReadCsv(TempPath(), "t");
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status();
+  const Column& col = loaded_or.value().column(0);
+  EXPECT_EQ(col.type(), ColumnType::kFloat64);
+  EXPECT_TRUE(std::isnan(col.Get(1)));
+  const ColumnStats& stats = col.GetStats();
+  EXPECT_EQ(stats.rows, 5);
+  EXPECT_EQ(stats.nan_rows, 2);
+  EXPECT_EQ(stats.values, (std::vector<double>{-2.25, 1.5}));
+  EXPECT_EQ(stats.counts, (std::vector<int64_t>{1, 2}));
 }
 
 TEST_F(CsvTest, MissingFileIsNotFound) {
