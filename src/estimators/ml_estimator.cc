@@ -92,7 +92,6 @@ common::Status FeaturizeMscnBatch(const featurize::MscnFeaturizer& featurizer,
 common::Status MscnEstimator::Train(const std::vector<query::Query>& queries,
                                     const std::vector<double>& cards,
                                     double valid_fraction, uint64_t seed) {
-  (void)seed;  // MSCN seeds via MscnParams
   if (queries.size() != cards.size()) {
     return common::Status::InvalidArgument("queries/cards length mismatch");
   }
@@ -108,21 +107,31 @@ common::Status MscnEstimator::Train(const std::vector<query::Query>& queries,
   }
   obs::TraceSpan fit_span("train.fit");
   obs::ScopedTimer fit_timer("train.fit_seconds", backend_label_);
-  const size_t n_valid = valid_fraction > 0.0
-                             ? static_cast<size_t>(valid_fraction *
-                                                   static_cast<double>(samples.size()))
-                             : 0;
-  if (n_valid == 0) {
+  if (valid_fraction <= 0.0) {
     return model_.Fit(samples, labels, nullptr, nullptr);
   }
-  const std::vector<featurize::MscnSample> train_samples(
-      samples.begin(), samples.end() - static_cast<long>(n_valid));
-  const std::vector<float> train_labels(labels.begin(),
-                                        labels.end() - static_cast<long>(n_valid));
-  const std::vector<featurize::MscnSample> valid_samples(
-      samples.end() - static_cast<long>(n_valid), samples.end());
-  const std::vector<float> valid_labels(labels.end() - static_cast<long>(n_valid),
-                                        labels.end());
+  // The same shuffled split as MlEstimator, so the early-stopping set is
+  // drawn from every query shape whatever order the caller concatenated
+  // them in.
+  common::Rng rng(seed);
+  const ml::SplitIndices split = ml::ShuffledSplit(
+      static_cast<int>(samples.size()), 1.0 - valid_fraction, rng);
+  const auto take = [&](const std::vector<int>& rows,
+                        std::vector<featurize::MscnSample>* part,
+                        std::vector<float>* part_labels) {
+    part->reserve(rows.size());
+    part_labels->reserve(rows.size());
+    for (const int r : rows) {
+      part->push_back(std::move(samples[static_cast<size_t>(r)]));
+      part_labels->push_back(labels[static_cast<size_t>(r)]);
+    }
+  };
+  std::vector<featurize::MscnSample> train_samples;
+  std::vector<float> train_labels;
+  std::vector<featurize::MscnSample> valid_samples;
+  std::vector<float> valid_labels;
+  take(split.train, &train_samples, &train_labels);
+  take(split.test, &valid_samples, &valid_labels);
   return model_.Fit(train_samples, train_labels, &valid_samples, &valid_labels);
 }
 

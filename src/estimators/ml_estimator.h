@@ -74,9 +74,9 @@ class MscnEstimator : public CardinalityEstimator {
                featurizer_.pred_dim(), params),
         backend_label_("backend=" + MscnEstimator::name()) {}
 
-  /// The last `valid_fraction` of the queries, in the given order, is the
-  /// early-stopping set. `seed` is unused: MSCN's initialization seed lives
-  /// in MscnParams.
+  /// A `seed`-shuffled `valid_fraction` of the queries (ml::ShuffledSplit,
+  /// as in MlEstimator) is the early-stopping set. MSCN's initialization
+  /// seed lives in MscnParams.
   common::Status Train(const std::vector<query::Query>& queries,
                        const std::vector<double>& cards,
                        double valid_fraction, uint64_t seed = 0) override;

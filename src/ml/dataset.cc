@@ -60,16 +60,21 @@ Dataset Dataset::Head(int n) const {
   return Subset(rows);
 }
 
+SplitIndices ShuffledSplit(int n, double train_fraction, common::Rng& rng) {
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+  rng.Shuffle(order);
+  const auto n_train = static_cast<long>(
+      std::llround(train_fraction * static_cast<double>(n)));
+  return SplitIndices{std::vector<int>(order.begin(), order.begin() + n_train),
+                      std::vector<int>(order.begin() + n_train, order.end())};
+}
+
 TrainTestSplit SplitTrainTest(const Dataset& data, double train_fraction,
                               common::Rng& rng) {
-  std::vector<int> order(static_cast<size_t>(data.num_rows()));
-  for (int i = 0; i < data.num_rows(); ++i) order[static_cast<size_t>(i)] = i;
-  rng.Shuffle(order);
-  const int n_train = static_cast<int>(
-      std::llround(train_fraction * static_cast<double>(data.num_rows())));
-  const std::vector<int> train_rows(order.begin(), order.begin() + n_train);
-  const std::vector<int> test_rows(order.begin() + n_train, order.end());
-  return TrainTestSplit{data.Subset(train_rows), data.Subset(test_rows)};
+  const SplitIndices split =
+      ShuffledSplit(data.num_rows(), train_fraction, rng);
+  return TrainTestSplit{data.Subset(split.train), data.Subset(split.test)};
 }
 
 float CardToLabel(double card) {

@@ -34,8 +34,17 @@ struct Dataset {
   Dataset Head(int n) const;
 };
 
+/// Row indices of a shuffled train/test split: a seeded permutation of
+/// [0, n) whose first round(train_fraction * n) entries train and whose rest
+/// test. Every estimator's early-stopping split is drawn this way.
+struct SplitIndices {
+  std::vector<int> train;
+  std::vector<int> test;
+};
+SplitIndices ShuffledSplit(int n, double train_fraction, common::Rng& rng);
+
 /// Shuffles row order deterministically, then splits into train (first
-/// `train_fraction`) and test.
+/// `train_fraction`) and test (ShuffledSplit over the rows).
 struct TrainTestSplit {
   Dataset train;
   Dataset test;

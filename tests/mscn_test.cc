@@ -1,9 +1,17 @@
 #include "ml/mscn.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.h"
+#include "estimators/ml_estimator.h"
+#include "featurize/mscn_featurizer.h"
 #include "gtest/gtest.h"
+#include "storage/catalog.h"
+#include "test_util.h"
+#include "workload/forest.h"
+#include "workload/query_gen.h"
 
 namespace qfcard::ml {
 namespace {
@@ -150,6 +158,86 @@ TEST(MscnTest, EarlyStoppingReturns) {
   const std::vector<MscnSample> valid(samples.begin(), samples.begin() + 50);
   const std::vector<float> valid_labels(labels.begin(), labels.begin() + 50);
   ASSERT_TRUE(model.Fit(samples, labels, &valid, &valid_labels).ok());
+}
+
+// A training set whose last 10 % is one query shape (a single predicate on
+// A1), as when per-sub-schema workloads are concatenated. MscnEstimator
+// draws its early-stopping set by the shared seeded shuffle, so the set
+// mixes shapes; the model equals one fitted by hand on that split and
+// differs from one fitted on the tail.
+TEST(MscnEstimatorTest, ValidationSplitIsShuffledNotTheTail) {
+  workload::ForestOptions fo;
+  fo.num_rows = 600;
+  fo.num_attributes = 4;
+  fo.seed = 3;
+  storage::Catalog catalog;
+  QFCARD_CHECK_OK(catalog.AddTable(workload::MakeForestTable(fo)));
+  common::Rng rng(13);
+  std::vector<query::Query> queries = workload::GeneratePredicateWorkload(
+      catalog.table(0), 180, workload::ConjunctiveWorkloadOptions(4), rng);
+  for (int i = 0; i < 20; ++i) {
+    query::Query q = testutil::SingleTableQuery("forest");
+    testutil::AddPredicate(q, 0, query::CmpOp::kLe, 100.0 * i);
+    queries.push_back(std::move(q));
+  }
+  std::vector<double> cards;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    cards.push_back(static_cast<double>(1 + (i * 37) % 500));
+  }
+  constexpr double kValid = 0.1;
+  constexpr uint64_t kSeed = 17;
+  MscnParams params = FastParams();
+  params.max_epochs = 6;
+  params.early_stopping_rounds = 2;
+  const featurize::MscnFeaturizer featurizer(
+      &catalog, nullptr, featurize::MscnFeaturizer::PredMode::kPerPredicate);
+
+  est::MscnEstimator estimator(featurizer, params);
+  ASSERT_TRUE(estimator.Train(queries, cards, kValid, kSeed).ok());
+  std::vector<uint8_t> trained;
+  ASSERT_TRUE(estimator.SerializeModel(&trained).ok());
+
+  std::vector<MscnSample> samples;
+  std::vector<float> labels;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    samples.push_back(featurizer.Featurize(queries[i]).value());
+    labels.push_back(CardToLabel(cards[i]));
+  }
+  const auto fit = [&](const std::vector<int>& train_rows,
+                       const std::vector<int>& valid_rows) {
+    std::vector<MscnSample> ts, vs;
+    std::vector<float> tl, vl;
+    for (const int r : train_rows) {
+      ts.push_back(samples[static_cast<size_t>(r)]);
+      tl.push_back(labels[static_cast<size_t>(r)]);
+    }
+    for (const int r : valid_rows) {
+      vs.push_back(samples[static_cast<size_t>(r)]);
+      vl.push_back(labels[static_cast<size_t>(r)]);
+    }
+    Mscn model(featurizer.table_dim(), featurizer.join_dim(),
+               featurizer.pred_dim(), params);
+    QFCARD_CHECK_OK(model.Fit(ts, tl, &vs, &vl));
+    std::vector<uint8_t> bytes;
+    QFCARD_CHECK_OK(model.Serialize(&bytes));
+    return bytes;
+  };
+
+  common::Rng split_rng(kSeed);
+  const SplitIndices split = ShuffledSplit(
+      static_cast<int>(queries.size()), 1.0 - kValid, split_rng);
+  ASSERT_EQ(split.test.size(), 20u);
+  const int tail_start = static_cast<int>(queries.size()) - 20;
+  EXPECT_TRUE(std::any_of(split.test.begin(), split.test.end(),
+                          [&](int r) { return r < tail_start; }))
+      << "the validation set holds only the tail's one shape";
+  EXPECT_EQ(trained, fit(split.train, split.test));
+
+  std::vector<int> head_rows, tail_rows;
+  for (int r = 0; r < static_cast<int>(queries.size()); ++r) {
+    (r < tail_start ? head_rows : tail_rows).push_back(r);
+  }
+  EXPECT_NE(trained, fit(head_rows, tail_rows));
 }
 
 }  // namespace
