@@ -1,8 +1,8 @@
 // Batch-API scaling: wall-clock of the pipeline stages (labeling of a
 // conjunctive and of a mixed draw, featurization, batched estimation, GB
-// training) at 1 thread vs N threads, asserting on the way that every
-// parallel result (the serialized GB model too) is byte-identical to the
-// serial one.
+// training, statistics-route creation) at 1 thread vs N threads, asserting
+// on the way that every parallel result (the serialized GB model and every
+// Postgres-style synopsis too) is byte-identical to the serial one.
 // N defaults to the hardware concurrency; override with QFCARD_THREADS.
 // Speedup is ~1x on a single-core machine by construction.
 
@@ -24,6 +24,7 @@ struct StageTimes {
   double gb_batch_s = 0.0;
   double sampling_batch_s = 0.0;
   double train_gb_s = 0.0;
+  double route_create_s = 0.0;
 };
 
 // Per-stage outputs of one pipeline run, compared across thread counts.
@@ -34,7 +35,50 @@ struct StageOutputs {
   std::vector<double> gb_ests;
   std::vector<double> sampling_ests;
   std::vector<uint8_t> gb_model;
+  std::vector<std::vector<double>> synopses;  // one flattened set per build
 };
+
+// One Postgres-style build per point_routes shape: the intelligent router's
+// factory runs one for every new feature space.
+constexpr int kRouteBuilds = 31;
+
+// A copy of `catalog` whose column stats are not computed yet, so a stage
+// timed on it pays for the one count pass per column, as a new process does.
+storage::Catalog FreshCopy(const storage::Catalog& catalog) {
+  storage::Catalog out;
+  for (int t = 0; t < catalog.num_tables(); ++t) {
+    const storage::Table& table = catalog.table(t);
+    storage::Table copy(table.name());
+    for (int c = 0; c < table.num_columns(); ++c) {
+      QFCARD_CHECK_OK(copy.AddColumn(storage::Column(table.column(c))));
+    }
+    QFCARD_CHECK_OK(out.AddTable(std::move(copy)));
+  }
+  return out;
+}
+
+// Every field of every synopsis of `pg`, flattened for comparison.
+std::vector<double> FlattenSynopses(const est::PostgresStyleEstimator& pg,
+                                    const storage::Catalog& catalog) {
+  std::vector<double> out;
+  for (int t = 0; t < catalog.num_tables(); ++t) {
+    for (int c = 0; c < catalog.table(t).num_columns(); ++c) {
+      const est::ColumnSynopsis& s = pg.synopsis(t, c);
+      out.insert(out.end(), s.hist_bounds.begin(), s.hist_bounds.end());
+      for (const auto& [value, freq] : s.mcv) {
+        out.push_back(value);
+        out.push_back(freq);
+      }
+      out.push_back(s.mcv_total_freq);
+      out.push_back(static_cast<double>(s.distinct));
+      out.push_back(static_cast<double>(s.rows));
+      out.push_back(s.min);
+      out.push_back(s.max);
+      out.push_back(s.integral ? 1.0 : 0.0);
+    }
+  }
+  return out;
+}
 
 std::vector<double> Cards(const std::vector<workload::LabeledQuery>& labeled) {
   std::vector<double> cards;
@@ -108,6 +152,19 @@ StageTimes RunPipeline(const ForestBundle& bundle,
     times.train_gb_s = timer.Seconds();
     QFCARD_CHECK_OK(model.Serialize(&out->gb_model));
   }
+  {
+    // Route creation: kRouteBuilds statistics models on one fresh catalog,
+    // from the pool (serially at 1 thread).
+    const storage::Catalog catalog = FreshCopy(bundle.catalog);
+    out->synopses.assign(kRouteBuilds, {});
+    obs::ScopedTimer timer;
+    common::GlobalPool().ParallelFor(kRouteBuilds, [&](int64_t i) {
+      const est::PostgresStyleEstimator pg =
+          est::PostgresStyleEstimator::Build(&catalog).value();
+      out->synopses[static_cast<size_t>(i)] = FlattenSynopses(pg, catalog);
+    });
+    times.route_create_s = timer.Seconds();
+  }
   return times;
 }
 
@@ -156,6 +213,10 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries,
   stage("gb_batch", serial.gb_batch_s, parallel.gb_batch_s);
   stage("sampling_batch", serial.sampling_batch_s, parallel.sampling_batch_s);
   stage("train_gb", serial.train_gb_s, parallel.train_gb_s);
+  json += common::StrFormat(
+      ",{\"name\":\"route_builds\",\"unit\":\"count\",\"value\":%d}",
+      kRouteBuilds);
+  stage("route_create", serial.route_create_s, parallel.route_create_s);
   json += "]}\n";
   out << json;
   return static_cast<bool>(out);
@@ -213,6 +274,13 @@ void Run(const std::string& benchmark_out) {
   CheckIdentical(out1.sampling_ests, outN.sampling_ests,
                  "Sampling EstimateBatch");
   CheckIdentical(out1.gb_model, outN.gb_model, "GB Fit model bytes");
+  for (int i = 0; i < kRouteBuilds; ++i) {
+    // Every build, at either thread count, equals the first serial one.
+    CheckIdentical(out1.synopses[0], out1.synopses[static_cast<size_t>(i)],
+                   "Postgres-style synopses");
+    CheckIdentical(out1.synopses[0], outN.synopses[static_cast<size_t>(i)],
+                   "Postgres-style synopses");
+  }
 
   eval::TablePrinter table({"stage", "1 thread (s)",
                             common::StrFormat("%d threads (s)", threads),
@@ -233,6 +301,9 @@ void Run(const std::string& benchmark_out) {
   const std::string fit_stage = common::StrFormat(
       "GB Fit (%d x %d, complex)", gb_train.num_rows(), gb_train.dim());
   add(fit_stage.c_str(), serial.train_gb_s, parallel.train_gb_s);
+  const std::string route_stage = common::StrFormat(
+      "route create (%d x Postgres-style Build)", kRouteBuilds);
+  add(route_stage.c_str(), serial.route_create_s, parallel.route_create_s);
 
   std::printf("Batch pipeline scaling, %zu queries and %zu mixed (results "
               "byte-identical across thread counts)\n",
