@@ -1,6 +1,7 @@
 // Batch-API scaling: wall-clock of the pipeline stages (labeling of a
-// conjunctive and of a mixed draw, featurization, batched estimation, GB
-// training, statistics-route creation) at 1 thread vs N threads, asserting
+// conjunctive and of a mixed forest draw and of a JOB-light draw on the
+// IMDb instance, featurization, batched estimation, GB training,
+// statistics-route creation) at 1 thread vs N threads, asserting
 // on the way that every parallel result (the serialized GB model and every
 // Postgres-style synopsis too) is byte-identical to the serial one.
 // N defaults to the hardware concurrency; override with QFCARD_THREADS.
@@ -20,6 +21,7 @@ namespace {
 struct StageTimes {
   double label_s = 0.0;
   double label_mixed_s = 0.0;
+  double label_join_s = 0.0;
   double featurize_s = 0.0;
   double gb_batch_s = 0.0;
   double sampling_batch_s = 0.0;
@@ -31,6 +33,7 @@ struct StageTimes {
 struct StageOutputs {
   std::vector<double> cards;
   std::vector<double> mixed_cards;
+  std::vector<double> join_cards;
   ml::Matrix features;
   std::vector<double> gb_ests;
   std::vector<double> sampling_ests;
@@ -101,12 +104,20 @@ ml::Dataset MixedTrainingSet(const ForestBundle& bundle) {
   return data;
 }
 
+// JOB-light queries labeled by the label_join stage.
+int JoinQueries() {
+  return static_cast<int>(common::ScalePick(100, 400, 2000));
+}
+
 // Runs the pipeline stages at the current global pool size. `queries` are
 // conjunctive; `mixed_queries` are labeled too, so the disjunction path of
-// the executor is timed.
+// the executor is timed, and so are `join_queries` on `imdb`, the join
+// engine's path.
 StageTimes RunPipeline(const ForestBundle& bundle,
                        const std::vector<query::Query>& queries,
                        const std::vector<query::Query>& mixed_queries,
+                       const workload::ImdbDatabase& imdb,
+                       const std::vector<query::Query>& join_queries,
                        const est::CardinalityEstimator& gb,
                        const ml::Dataset& gb_train, StageOutputs* out) {
   StageTimes times;
@@ -121,6 +132,12 @@ StageTimes RunPipeline(const ForestBundle& bundle,
     out->mixed_cards = Cards(
         workload::LabelOnTable(*bundle.forest, mixed_queries, false).value());
     times.label_mixed_s = timer.Seconds();
+  }
+  {
+    obs::ScopedTimer timer;
+    out->join_cards = Cards(
+        workload::LabelOnCatalog(imdb.catalog, join_queries, false).value());
+    times.label_join_s = timer.Seconds();
   }
   {
     const auto featurizer = MakeQft("conjunctive", bundle.schema);
@@ -181,7 +198,7 @@ void CheckIdentical(const std::vector<T>& serial, const std::vector<T>& parallel
 // CI archives as BENCH_batch_scaling.json: per-stage serial/parallel seconds
 // plus the query counts, as flat {name, unit, value} metric rows.
 bool WriteBenchmarkOut(const std::string& path, size_t queries,
-                       size_t mixed_queries, int threads,
+                       size_t mixed_queries, size_t join_queries, int threads,
                        const StageTimes& serial, const StageTimes& parallel) {
   std::ofstream out(path);
   if (!out) return false;
@@ -196,6 +213,9 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries,
   json += common::StrFormat(
       ",{\"name\":\"mixed_queries\",\"unit\":\"count\",\"value\":%zu}",
       mixed_queries);
+  json += common::StrFormat(
+      ",{\"name\":\"join_queries\",\"unit\":\"count\",\"value\":%zu}",
+      join_queries);
   const auto stage = [&json](const char* name, double s1, double sn) {
     json += common::StrFormat(
         ",{\"name\":\"%s_seconds_serial\",\"unit\":\"seconds\","
@@ -209,6 +229,7 @@ bool WriteBenchmarkOut(const std::string& path, size_t queries,
   };
   stage("label", serial.label_s, parallel.label_s);
   stage("label_mixed", serial.label_mixed_s, parallel.label_mixed_s);
+  stage("label_join", serial.label_join_s, parallel.label_join_s);
   stage("featurize", serial.featurize_s, parallel.featurize_s);
   stage("gb_batch", serial.gb_batch_s, parallel.gb_batch_s);
   stage("sampling_batch", serial.sampling_batch_s, parallel.sampling_batch_s);
@@ -244,6 +265,21 @@ void Run(const std::string& benchmark_out) {
       train_and_test(bundle.conj_train, bundle.conj_test);
   const std::vector<query::Query> mixed_queries =
       train_and_test(bundle.mixed_train, bundle.mixed_test);
+  workload::ImdbOptions iopts;
+  iopts.num_titles = ImdbTitles();
+  const workload::ImdbDatabase imdb = workload::MakeImdbDatabase(iopts);
+  common::Rng join_rng(3003);
+  workload::JobLightOptions jopts;
+  jopts.count = JoinQueries();
+  const std::vector<query::Query> join_queries =
+      workload::MakeJobLightWorkload(imdb, jopts, join_rng);
+  // The one count pass per column runs before either timed run, as it
+  // does for the forest during the bundle's labeling, so both runs time the
+  // scans and the joins only.
+  for (int t = 0; t < imdb.catalog.num_tables(); ++t) {
+    const storage::Table& table = imdb.catalog.table(t);
+    for (int c = 0; c < table.num_columns(); ++c) table.column(c).GetStats();
+  }
 
   // Train one GB estimator serially; both timing runs share it.
   common::SetGlobalThreads(1);
@@ -261,14 +297,17 @@ void Run(const std::string& benchmark_out) {
   StageOutputs out1, outN;
   common::SetGlobalThreads(1);
   const StageTimes serial =
-      RunPipeline(bundle, queries, mixed_queries, *gb, gb_train, &out1);
+      RunPipeline(bundle, queries, mixed_queries, imdb, join_queries, *gb,
+                  gb_train, &out1);
   common::SetGlobalThreads(threads);
   const StageTimes parallel =
-      RunPipeline(bundle, queries, mixed_queries, *gb, gb_train, &outN);
+      RunPipeline(bundle, queries, mixed_queries, imdb, join_queries, *gb,
+                  gb_train, &outN);
   common::SetGlobalThreads(1);
 
   CheckIdentical(out1.cards, outN.cards, "labeling");
   CheckIdentical(out1.mixed_cards, outN.mixed_cards, "mixed labeling");
+  CheckIdentical(out1.join_cards, outN.join_cards, "JOB-light labeling");
   CheckIdentical(out1.features.data(), outN.features.data(), "featurization");
   CheckIdentical(out1.gb_ests, outN.gb_ests, "GB EstimateBatch");
   CheckIdentical(out1.sampling_ests, outN.sampling_ests,
@@ -293,6 +332,8 @@ void Run(const std::string& benchmark_out) {
   add("labeling (LabelOnTable)", serial.label_s, parallel.label_s);
   add("labeling, mixed (LabelOnTable)", serial.label_mixed_s,
       parallel.label_mixed_s);
+  add("labeling, JOB-light (LabelOnCatalog)", serial.label_join_s,
+      parallel.label_join_s);
   add("featurization (FeaturizeBatch)", serial.featurize_s,
       parallel.featurize_s);
   add("GB EstimateBatch", serial.gb_batch_s, parallel.gb_batch_s);
@@ -305,15 +346,18 @@ void Run(const std::string& benchmark_out) {
       "route create (%d x Postgres-style Build)", kRouteBuilds);
   add(route_stage.c_str(), serial.route_create_s, parallel.route_create_s);
 
-  std::printf("Batch pipeline scaling, %zu queries and %zu mixed (results "
-              "byte-identical across thread counts)\n",
-              queries.size(), mixed_queries.size());
+  std::printf("Batch pipeline scaling, %zu queries, %zu mixed and %zu "
+              "JOB-light on %d titles (results byte-identical across thread "
+              "counts)\n",
+              queries.size(), mixed_queries.size(), join_queries.size(),
+              ImdbTitles());
   table.Print(std::cout);
   eval::PrintTelemetrySnapshot(std::cout);
 
   if (!benchmark_out.empty()) {
     if (!WriteBenchmarkOut(benchmark_out, queries.size(),
-                           mixed_queries.size(), threads, serial, parallel)) {
+                           mixed_queries.size(), join_queries.size(), threads,
+                           serial, parallel)) {
       std::fprintf(stderr, "FATAL: cannot write %s\n", benchmark_out.c_str());
       std::exit(1);
     }

@@ -1,7 +1,8 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "common/str_util.h"
@@ -29,108 +30,103 @@ common::Status CheckSingleTable(const storage::Table& table, const Query& q) {
   return common::Status::Ok();
 }
 
-// Writes to `out` the rows of `in[0, n)` whose value in `col` satisfies
-// `cmp(value, literal)`, in order, and returns how many. Branch-free: every
-// row is written and the cursor advances by the comparison's result. `out`
-// may be `in`, compacting in place.
-template <typename Cmp>
-size_t CompactWhere(const double* col, double literal, Cmp cmp,
-                    const int32_t* in, size_t n, int32_t* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t r = in[i];
-    out[k] = r;
-    k += cmp(col[r], literal) ? 1 : 0;
+// Sets bits [lo, hi) of `bits`.
+void SetBits(uint64_t* bits, size_t lo, size_t hi) {
+  for (; lo < hi && lo % 64 != 0; ++lo) {
+    bits[lo / 64] |= uint64_t{1} << (lo % 64);
   }
-  return k;
+  for (; lo + 64 <= hi; lo += 64) bits[lo / 64] = ~uint64_t{0};
+  for (; lo < hi; ++lo) bits[lo / 64] |= uint64_t{1} << (lo % 64);
 }
 
-// Writes to `out` the rows of `in[0, n)` that satisfy `p` and returns how
-// many, with the comparison semantics of EvalCmp (NaN fails every operator
-// but <>).
-size_t CompactPredicate(const storage::Table& table, const SimplePredicate& p,
-                        const int32_t* in, size_t n, int32_t* out) {
-  const double* col = table.column(p.col.column).data().data();
-  switch (p.op) {
-    case CmpOp::kEq:
-      return CompactWhere(col, p.value, std::equal_to<double>(), in, n, out);
-    case CmpOp::kNe:
-      return CompactWhere(col, p.value, std::not_equal_to<double>(), in, n,
-                          out);
-    case CmpOp::kLt:
-      return CompactWhere(col, p.value, std::less<double>(), in, n, out);
-    case CmpOp::kLe:
-      return CompactWhere(col, p.value, std::less_equal<double>(), in, n, out);
-    case CmpOp::kGt:
-      return CompactWhere(col, p.value, std::greater<double>(), in, n, out);
-    case CmpOp::kGe:
-      return CompactWhere(col, p.value, std::greater_equal<double>(), in, n,
-                          out);
-  }
-  return 0;
+bool TestBit(const uint64_t* bits, uint32_t code) {
+  return ((bits[code / 64] >> (code % 64)) & 1) != 0;
 }
 
-// Writes to `out` the rows of `in[0, n)` that satisfy every predicate of
-// `clause` and returns how many: the first predicate reads `in`, the rest
-// narrow `out` in place. `out` may be `in`.
-size_t CompactClause(const storage::Table& table,
-                     const ConjunctiveClause& clause, const int32_t* in,
-                     size_t n, int32_t* out) {
-  if (clause.preds.empty()) {
-    if (out != in) std::copy(in, in + n, out);
-    return n;
-  }
+// ORs into `bits` the codes (ColumnStats::codes) of the rows that satisfy
+// every predicate of `clause`, with the semantics of EvalCmp. Each operator
+// but <> bounds one code interval by binary search over the ascending
+// distinct values; a <> literal removes at most one code (`holes` is
+// scratch). A NaN row, code `distinct`, satisfies only <>, and a NaN literal
+// fails every operator but <>, which every row passes.
+void AddClause(const storage::ColumnStats& stats,
+               const ConjunctiveClause& clause, std::vector<size_t>& holes,
+               uint64_t* bits) {
+  const std::vector<double>& values = stats.values;
+  const auto first_not_below = [&](double v) {
+    return static_cast<size_t>(
+        std::lower_bound(values.begin(), values.end(), v) - values.begin());
+  };
+  const auto first_above = [&](double v) {
+    return static_cast<size_t>(
+        std::upper_bound(values.begin(), values.end(), v) - values.begin());
+  };
+  size_t lo = 0;
+  size_t hi = values.size();
+  bool nan_row = true;
+  holes.clear();
   for (const SimplePredicate& p : clause.preds) {
-    n = CompactPredicate(table, p, in, n, out);
-    in = out;
+    if (p.op == CmpOp::kNe) {
+      const size_t c = first_not_below(p.value);
+      if (c < values.size() && values[c] == p.value) holes.push_back(c);
+      continue;
+    }
+    nan_row = false;
+    if (std::isnan(p.value)) {
+      hi = 0;
+      continue;
+    }
+    switch (p.op) {
+      case CmpOp::kEq:
+        lo = std::max(lo, first_not_below(p.value));
+        hi = std::min(hi, first_above(p.value));
+        break;
+      case CmpOp::kLt:
+        hi = std::min(hi, first_not_below(p.value));
+        break;
+      case CmpOp::kLe:
+        hi = std::min(hi, first_above(p.value));
+        break;
+      case CmpOp::kGt:
+        lo = std::max(lo, first_above(p.value));
+        break;
+      case CmpOp::kGe:
+        lo = std::max(lo, first_not_below(p.value));
+        break;
+      case CmpOp::kNe:
+        break;
+    }
   }
-  return n;
+  std::sort(holes.begin(), holes.end());
+  for (const size_t h : holes) {
+    if (h < lo || h >= hi) continue;
+    SetBits(bits, lo, h);
+    lo = h + 1;
+  }
+  SetBits(bits, lo, hi);
+  if (nan_row) SetBits(bits, values.size(), values.size() + 1);
 }
 
-// Per-call scratch of a multi-clause compound: the candidates no earlier
-// clause accepted, one clause's survivors among them, and an accepted mark
-// per table row (all zero between compounds).
-struct DisjunctionScratch {
-  std::vector<int32_t> pending;
-  std::vector<int32_t> clause_rows;
-  std::vector<uint8_t> accepted;
+// One compound on one slot: its column's row codes, its accepted codes as
+// a bitmap of distinct + 1 bits at `word` of the shared bitmap buffer, and
+// the exact number of rows it accepts.
+struct CompoundScan {
+  const uint32_t* codes;
+  size_t word;
+  int64_t rows;
 };
 
-// Keeps the rows of `rows` that satisfy any clause of `cp`. Each clause is
-// evaluated only on the candidates that no earlier clause accepted; `rows`
-// is then compacted by the accepted marks, so it stays in ascending order.
-void CompactDisjunction(const storage::Table& table,
-                        const CompoundPredicate& cp, DisjunctionScratch& s,
-                        std::vector<int32_t>& rows) {
-  if (s.accepted.empty()) {
-    s.accepted.assign(static_cast<size_t>(table.num_rows()), 0);
-  }
-  s.pending = rows;
-  s.clause_rows.resize(rows.size());
-  size_t pending = rows.size();
-  for (size_t c = 0; c < cp.disjuncts.size() && pending > 0; ++c) {
-    const size_t n = CompactClause(table, cp.disjuncts[c], s.pending.data(),
-                                   pending, s.clause_rows.data());
-    for (size_t i = 0; i < n; ++i) {
-      s.accepted[static_cast<size_t>(s.clause_rows[i])] = 1;
+// The exact number of rows whose code is set in `bits`.
+int64_t CountRows(const storage::ColumnStats& stats, const uint64_t* bits) {
+  const size_t distinct = stats.values.size();
+  int64_t rows = 0;
+  for (size_t w = 0; w <= distinct / 64; ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const size_t c = w * 64 + static_cast<size_t>(std::countr_zero(word));
+      rows += c < distinct ? stats.counts[c] : stats.nan_rows;
     }
-    if (c + 1 == cp.disjuncts.size()) break;
-    size_t k = 0;
-    for (size_t i = 0; i < pending; ++i) {
-      const int32_t r = s.pending[i];
-      s.pending[k] = r;
-      k += 1 - s.accepted[static_cast<size_t>(r)];
-    }
-    pending = k;
   }
-  size_t k = 0;
-  for (const int32_t r : rows) {
-    const size_t i = static_cast<size_t>(r);
-    rows[k] = r;
-    k += s.accepted[i];
-    s.accepted[i] = 0;
-  }
-  rows.resize(k);
+  return rows;
 }
 
 }  // namespace
@@ -167,23 +163,74 @@ common::StatusOr<std::vector<int32_t>> Executor::Filter(
     }
     if (!ok) return common::Status::OutOfRange("predicate column out of range");
   }
-  std::vector<int32_t> rows(static_cast<size_t>(table.num_rows()));
-  std::iota(rows.begin(), rows.end(), 0);
-  // Conjunctions narrow the rows before any disjunction runs: the result is
-  // the same, and each disjunction then visits fewer candidates per clause.
-  DisjunctionScratch scratch;
-  for (const bool disjunctive : {false, true}) {
-    for (const CompoundPredicate& cp : q.predicates) {
-      if (cp.col.table != slot || rows.empty()) continue;
-      if ((cp.disjuncts.size() != 1) != disjunctive) continue;
-      if (disjunctive) {
-        CompactDisjunction(table, cp, scratch, rows);
-      } else {
-        rows.resize(CompactClause(table, cp.disjuncts[0], rows.data(),
-                                  rows.size(), rows.data()));
+  for (const CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table != slot) continue;
+    for (const ConjunctiveClause& clause : cp.disjuncts) {
+      for (const SimplePredicate& p : clause.preds) {
+        if (!(p.col == cp.col)) {
+          return common::Status::InvalidArgument(
+              "compound predicate mixes attributes; not a mixed query "
+              "(Definition 3.3)");
+        }
       }
     }
   }
+  // Each compound becomes a bitmap over its column's value codes, counted
+  // exactly from the value counts.
+  std::vector<CompoundScan> scans;
+  std::vector<uint64_t> bits;
+  std::vector<size_t> holes;
+  for (const CompoundPredicate& cp : q.predicates) {
+    if (cp.col.table != slot) continue;
+    const storage::ColumnStats& stats = table.column(cp.col.column).GetStats();
+    const size_t word = bits.size();
+    bits.resize(word + stats.values.size() / 64 + 1);
+    for (const ConjunctiveClause& clause : cp.disjuncts) {
+      AddClause(stats, clause, holes, bits.data() + word);
+    }
+    scans.push_back(CompoundScan{stats.codes.data(), word,
+                                 CountRows(stats, bits.data() + word)});
+  }
+  // The most selective compound runs first and the later ones narrow its
+  // rows in place. AND commutes and every pass keeps the row order, so the
+  // ids come out ascending whatever the order.
+  std::stable_sort(scans.begin(), scans.end(),
+                   [](const CompoundScan& a, const CompoundScan& b) {
+                     return a.rows < b.rows;
+                   });
+  const int64_t n = table.num_rows();
+  std::vector<int32_t> rows;
+  if (scans.empty() || scans.front().rows == n) {
+    rows.resize(static_cast<size_t>(n));
+    std::iota(rows.begin(), rows.end(), 0);
+    return rows;
+  }
+  if (scans.front().rows == 0) return rows;
+  // Branch-free compaction: every row is written and the cursor advances by
+  // its bit, so the first pass writes at most its exact count plus one.
+  size_t k = 0;
+  {
+    const CompoundScan& s = scans.front();
+    const uint64_t* set = bits.data() + s.word;
+    rows.resize(static_cast<size_t>(s.rows) + 1);
+    for (int32_t r = 0; r < n; ++r) {
+      rows[k] = r;
+      k += TestBit(set, s.codes[r]) ? 1 : 0;
+    }
+  }
+  for (size_t i = 1; i < scans.size() && k > 0; ++i) {
+    const CompoundScan& s = scans[i];
+    if (s.rows == n) break;  // this compound and every later one accept all
+    const uint64_t* set = bits.data() + s.word;
+    const size_t m = k;
+    k = 0;
+    for (size_t j = 0; j < m; ++j) {
+      const int32_t r = rows[j];
+      rows[k] = r;
+      k += TestBit(set, s.codes[r]) ? 1 : 0;
+    }
+  }
+  rows.resize(k);
   return rows;
 }
 

@@ -18,8 +18,11 @@ class Executor {
   /// Returns the row ids of `table`, the table of slot `slot` of `q`, that
   /// satisfy the compound predicates on that slot, in ascending order;
   /// predicates on other slots are ignored. Joins push their selections
-  /// down through it. Column-at-a-time: each simple predicate is one
-  /// branch-free compaction of the surviving row ids.
+  /// down through it. Each compound is one bitmap over its column's value
+  /// codes (storage::ColumnStats::codes) and one branch-free pass over the
+  /// surviving row ids, most selective compound first. A simple predicate
+  /// on another column than its compound's is InvalidArgument
+  /// (Definition 3.3).
   static common::StatusOr<std::vector<int32_t>> Filter(
       const storage::Table& table, const Query& q, int slot);
 

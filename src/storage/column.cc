@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/str_util.h"
@@ -97,33 +98,47 @@ std::vector<double> ColumnStats::RankValues(int parts) const {
 }
 
 const ColumnStats& Column::GetStats() const {
-  // stats_mu_ (process-wide, see column.h) makes the lazy recompute safe
-  // when estimators are built or queried from the batch API's thread pool.
+  // Computed stats are read without the lock (see PublishedStats); the
+  // first computation runs under stats_mu_ (process-wide, see column.h).
+  if (!stats_dirty_.load(std::memory_order_acquire)) return PublishedStats();
   common::MutexLock lock(&stats_mu_);
   if (!stats_dirty_.load(std::memory_order_acquire)) return stats_;
   obs::IncrementCounter("storage.stats.computed");
   stats_ = ColumnStats{};
   stats_.rows = size();
   // NaN is unordered, so it is kept out of the sort.
-  std::vector<double> sorted;
+  std::vector<std::pair<double, uint32_t>> sorted;
   sorted.reserve(data_.size());
-  for (const double v : data_) {
-    if (!std::isnan(v)) sorted.push_back(v);
+  for (size_t r = 0; r < data_.size(); ++r) {
+    if (!std::isnan(data_[r])) {
+      sorted.emplace_back(data_[r], static_cast<uint32_t>(r));
+    }
   }
   stats_.nan_rows = stats_.rows - static_cast<int64_t>(sorted.size());
-  // Stable, so the first of equal values (-0.0 and 0.0) in row order leads
-  // its run and represents it.
-  std::stable_sort(sorted.begin(), sorted.end());
+  // Stable, so equal values (-0.0 and 0.0) stay in row order and the first
+  // of them in row order leads its run and represents it.
+  std::stable_sort(
+      sorted.begin(), sorted.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  stats_.codes.resize(data_.size());
   for (size_t i = 0; i < sorted.size();) {
-    size_t j = i + 1;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    stats_.values.push_back(sorted[i]);
+    const auto code = static_cast<uint32_t>(stats_.values.size());
+    size_t j = i;
+    for (; j < sorted.size() && sorted[j].first == sorted[i].first; ++j) {
+      stats_.codes[sorted[j].second] = code;
+    }
+    stats_.values.push_back(sorted[i].first);
     stats_.counts.push_back(static_cast<int64_t>(j - i));
     i = j;
   }
   stats_.values.shrink_to_fit();  // the cache lives as long as the column
   stats_.counts.shrink_to_fit();
   stats_.distinct = static_cast<int64_t>(stats_.values.size());
+  for (size_t r = 0; r < data_.size(); ++r) {
+    if (std::isnan(data_[r])) {
+      stats_.codes[r] = static_cast<uint32_t>(stats_.distinct);
+    }
+  }
   if (!stats_.values.empty()) {
     stats_.min = stats_.values.front();
     stats_.max = stats_.values.back();

@@ -69,18 +69,21 @@ class Dictionary {
   std::unordered_map<std::string, int64_t> code_of_;
 };
 
-/// Per-column statistics, computed once per column from one sort of a copy
-/// of its values. `min`/`max` define the attribute domain in the sense of
-/// the paper (Section 3: literals normalize against min(A)/max(A)). The
+/// Per-column statistics, computed once per column from one sort of its
+/// (value, row) pairs. `min`/`max` define the attribute domain in the sense
+/// of the paper (Section 3: literals normalize against min(A)/max(A)). The
 /// value counts feed every statistic derived from a column: the
 /// Postgres-style synopsis (MCVs, equi-depth histogram) and the equi-depth,
-/// v-optimal and skew-aware partitioners.
+/// v-optimal and skew-aware partitioners. The per-row value codes feed the
+/// executor: `Executor::Filter` turns a compound predicate into one bit per
+/// code and tests each row's code against it.
 ///
 /// Values compare with ==, so -0.0 and 0.0 are one value; its
 /// representative is the first of them in row order. NaN rows (the CSV
 /// loader's strtod accepts "nan") hold no value: they count in `rows` and
-/// `nan_rows` only, and min, max, distinct and the counts describe the
-/// other rows. An all-NaN or empty column has min = max = 0.
+/// `nan_rows` only, their code is `distinct`, and min, max, distinct and the
+/// counts describe the other rows. An all-NaN or empty column has
+/// min = max = 0.
 struct ColumnStats {
   double min = 0.0;
   double max = 0.0;
@@ -89,6 +92,9 @@ struct ColumnStats {
   int64_t nan_rows = 0;
   std::vector<double> values;   ///< the distinct values, ascending
   std::vector<int64_t> counts;  ///< counts[i] rows hold values[i]
+  /// One code per row: values[codes[r]] == data[r], or `distinct` when row
+  /// r is NaN.
+  std::vector<uint32_t> codes;
 
   /// The values at ascending ranks floor(k / parts * (n - 1)), k = 0..parts,
   /// of the n = rows - nan_rows non-NaN rows: an equi-depth summary whose
@@ -168,9 +174,20 @@ class Column {
   /// Safe to call concurrently; appending while readers hold the returned
   /// reference is not. Each computation bumps the `storage.stats.computed`
   /// counter, so callers can check that the counts are shared.
+  /// After the first computation the call takes no lock: the executor reads
+  /// the stats once per compound predicate on every labeling thread.
   const ColumnStats& GetStats() const QFCARD_EXCLUDES(stats_mu_);
 
  private:
+  // The computed stats, read without stats_mu_. Call only after an acquire
+  // load of stats_dirty_ returned false: GetStats writes stats_ under the
+  // lock and then clears the flag with a release store, and stats_ changes
+  // again only after an Append, which must not overlap readers. The
+  // analysis cannot see a guard that is an atomic flag, hence the escape.
+  const ColumnStats& PublishedStats() const QFCARD_NO_THREAD_SAFETY_ANALYSIS {
+    return stats_;
+  }
+
   // Plain data, deliberately outside stats_mu_: a Column is built by one
   // thread (AddTable / CSV load) and is read-only once shared with the
   // batch pool; only the stats cache below mutates after that point.
@@ -185,8 +202,9 @@ class Column {
   // Lazily recomputed stats cache, shared across the batch API's pool
   // threads. One process-wide mutex (not per-column) keeps Column cheap to
   // copy; stats are computed once per column lifetime (every statistics
-  // consumer reads this cache), so contention is nil. The dirty flag is
-  // atomic so Append (the single-threaded load path) needn't take the lock.
+  // consumer reads this cache) and read lock-free after that, so contention
+  // is nil. The dirty flag is atomic so Append (the single-threaded load
+  // path) needn't take the lock and readers can test it without it.
   inline static common::Mutex stats_mu_;
   mutable ColumnStats stats_ QFCARD_GUARDED_BY(stats_mu_);
   mutable std::atomic<bool> stats_dirty_{true};

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/random.h"
@@ -84,12 +86,33 @@ TEST(ExecutorTest, RejectsOutOfRangeColumns) {
   grouped.group_by.push_back(ColumnRef{0, 7});
   EXPECT_EQ(Executor::Count(t, grouped).status().code(),
             common::StatusCode::kOutOfRange);
-  // A simple predicate is evaluated on its own column, not its compound's.
+  // A simple predicate's own column is range-checked too, before the
+  // Definition 3.3 check that it names its compound's column.
   Query filtered = SingleTableQuery("small");
   AddCompound(filtered, 0, {{{CmpOp::kEq, 4}}});
   filtered.predicates[0].disjuncts[0].preds[0].col.column = 7;
   EXPECT_EQ(Executor::Count(t, filtered).status().code(),
             common::StatusCode::kOutOfRange);
+}
+
+TEST(ExecutorTest, RejectsPredicateOnAnotherColumnThanItsCompound) {
+  const storage::Table t = SmallTable();
+  Query q = SingleTableQuery("small");
+  AddCompound(q, 0, {{{CmpOp::kGe, 2}}, {{CmpOp::kEq, 40}}});
+  q.predicates[0].disjuncts[1].preds[0].col.column = 1;  // b = 40
+  const auto rows_or = Executor::Filter(t, q, 0);
+  EXPECT_EQ(rows_or.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(rows_or.status().message().find("Definition 3.3"),
+            std::string::npos)
+      << rows_or.status();
+  EXPECT_EQ(Executor::Count(t, q).status().code(),
+            common::StatusCode::kInvalidArgument);
+  // Slot 1's compounds are not checked when filtering slot 0.
+  q.predicates[0].col.table = 1;
+  for (ConjunctiveClause& clause : q.predicates[0].disjuncts) {
+    for (SimplePredicate& p : clause.preds) p.col.table = 1;
+  }
+  EXPECT_EQ(Executor::Filter(t, q, 0).value().size(), 10u);
 }
 
 TEST(ExecutorTest, FilterReturnsRowIds) {
@@ -348,6 +371,123 @@ TEST(FilterEdgeCaseTest, NonZeroSlotReturnsAscendingRowIds) {
     EXPECT_EQ(rows, RowLoopFilter(t, q, 1));
     EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
                                std::less_equal<int32_t>()));
+  }
+}
+
+// A float column holding both infinities, a NaN and signed zeros.
+storage::Table InfiniteTable() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  storage::Table t("nan");
+  QFCARD_CHECK_OK(t.AddColumn(testutil::FloatColumn(
+      "c0", {kInf, 1.5, -kInf, nan, 0.0, -0.0, kInf, 1.5, -2.0})));
+  return t;
+}
+
+TEST(FilterEdgeCaseTest, NanLiteralUnderEveryOperator) {
+  common::Rng rng(5);
+  const storage::Table t = NanTable(rng, 200);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int op = 0; op < 6; ++op) {
+    const CmpOp cmp = static_cast<CmpOp>(op);
+    SCOPED_TRACE(CmpOpToString(cmp));
+    for (int col = 0; col < 3; ++col) {
+      Query alone = SingleTableQuery("nan");
+      AddCompound(alone, col, {{{cmp, nan}}});
+      ExpectFilterMatchesReferences(t, alone);
+      // NaN passes only <>, so only then does it leave the row set whole.
+      EXPECT_EQ(Executor::Count(t, alone).value(),
+                cmp == CmpOp::kNe ? t.num_rows() : 0);
+      Query mixed = SingleTableQuery("nan");
+      AddCompound(mixed, col,
+                  {{{cmp, nan}, {CmpOp::kGe, 0}}, {{CmpOp::kLt, -1}}});
+      ExpectFilterMatchesReferences(t, mixed);
+    }
+  }
+}
+
+TEST(FilterEdgeCaseTest, InfiniteLiteralsOnInfiniteValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const storage::Table t = InfiniteTable();
+  for (int op = 0; op < 6; ++op) {
+    const CmpOp cmp = static_cast<CmpOp>(op);
+    for (const double literal : {kInf, -kInf, 0.0, -0.0, 1.5}) {
+      SCOPED_TRACE(std::string(CmpOpToString(cmp)) + " " +
+                   std::to_string(literal));
+      Query q = SingleTableQuery("nan");
+      AddCompound(q, 0, {{{cmp, literal}}});
+      ExpectFilterMatchesReferences(t, q);
+      Query range = SingleTableQuery("nan");
+      AddCompound(range, 0,
+                  {{{cmp, literal}, {CmpOp::kNe, kInf}},
+                   {{CmpOp::kEq, -kInf}}});
+      ExpectFilterMatchesReferences(t, range);
+    }
+  }
+}
+
+TEST(FilterEdgeCaseTest, EmptyClauseAndCompoundWithoutClauses) {
+  common::Rng rng(11);
+  const storage::Table t = NanTable(rng, 200);
+  // The clause without predicates accepts every row, NaN rows included.
+  Query empty_clause = SingleTableQuery("nan");
+  AddCompound(empty_clause, 1, {{}});
+  ExpectFilterMatchesReferences(t, empty_clause);
+  EXPECT_EQ(Executor::Count(t, empty_clause).value(), t.num_rows());
+  // A compound without clauses accepts no row.
+  Query no_clauses = SingleTableQuery("nan");
+  AddCompound(no_clauses, 0, {{{CmpOp::kGe, 3}}});
+  AddCompound(no_clauses, 1, {});
+  ExpectFilterMatchesReferences(t, no_clauses);
+  EXPECT_TRUE(Executor::Filter(t, no_clauses, 0).value().empty());
+}
+
+TEST(FilterEdgeCaseTest, TwoCompoundsOnOneColumn) {
+  common::Rng rng(13);
+  const storage::Table t = NanTable(rng, 300);
+  for (int col = 0; col < 3; ++col) {
+    for (int iter = 0; iter < 20; ++iter) {
+      Query q = SingleTableQuery("nan");
+      q.predicates.push_back(RandomCompound(rng, t, col));
+      q.predicates.push_back(RandomCompound(rng, t, col));
+      ExpectFilterMatchesReferences(t, q);
+    }
+  }
+  // c0 in [3, 10] and c0 in [8, 20]: the two compounds meet in [8, 10].
+  Query overlap = SingleTableQuery("nan");
+  AddCompound(overlap, 0, {{{CmpOp::kGe, 3}, {CmpOp::kLe, 10}}});
+  AddCompound(overlap, 0, {{{CmpOp::kGe, 8}}});
+  ExpectFilterMatchesReferences(t, overlap);
+  const std::vector<int32_t> rows = Executor::Filter(t, overlap, 0).value();
+  for (const int32_t r : rows) {
+    EXPECT_GE(t.column(0).Get(r), 8);
+    EXPECT_LE(t.column(0).Get(r), 10);
+  }
+}
+
+TEST(FilterEdgeCaseTest, PermutedCompoundsGiveTheSameAscendingRows) {
+  common::Rng rng(19);
+  const storage::Table t = NanTable(rng, 400);
+  for (int iter = 0; iter < 40; ++iter) {
+    Query q = SingleTableQuery("nan");
+    const int n_compounds = static_cast<int>(rng.UniformInt(2, 4));
+    for (int c = 0; c < n_compounds; ++c) {
+      q.predicates.push_back(
+          RandomCompound(rng, t, static_cast<int>(rng.UniformInt(0, 2))));
+    }
+    const std::vector<int32_t> rows = Executor::Filter(t, q, 0).value();
+    EXPECT_EQ(rows, RowLoopFilter(t, q, 0));
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                               std::less_equal<int32_t>()));
+    std::vector<size_t> order(q.predicates.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    while (std::next_permutation(order.begin(), order.end())) {
+      Query permuted = q;
+      for (size_t i = 0; i < order.size(); ++i) {
+        permuted.predicates[i] = q.predicates[order[i]];
+      }
+      EXPECT_EQ(Executor::Filter(t, permuted, 0).value(), rows);
+    }
   }
 }
 

@@ -167,6 +167,68 @@ TEST(ColumnTest, NanRowsHoldNoValue) {
   EXPECT_TRUE(none.RankValues(3).empty());
 }
 
+// Every row's code indexes its value: values[codes[r]] == data[r], or
+// codes[r] == distinct for a NaN row.
+void ExpectCodesIndexValues(const Column& col) {
+  const ColumnStats& stats = col.GetStats();
+  ASSERT_EQ(stats.codes.size(), col.data().size());
+  for (size_t r = 0; r < col.data().size(); ++r) {
+    const uint32_t code = stats.codes[r];
+    if (std::isnan(col.data()[r])) {
+      EXPECT_EQ(code, static_cast<uint32_t>(stats.distinct)) << "row " << r;
+    } else {
+      ASSERT_LT(code, stats.values.size()) << "row " << r;
+      EXPECT_EQ(stats.values[code], col.data()[r]) << "row " << r;
+    }
+  }
+}
+
+TEST(ColumnTest, CodesIndexTheDistinctValues) {
+  Column col = MakeIntColumn("a", {5, 1, 9, 5, 3, 5, 1});
+  ExpectCodesIndexValues(col);
+  EXPECT_EQ(col.GetStats().codes,
+            (std::vector<uint32_t>{2, 0, 3, 2, 1, 2, 0}));
+  Column zeros("z", ColumnType::kFloat64);
+  zeros.AppendBatch({1.0, 0.0, -0.0, 0.0, -1.0});
+  ExpectCodesIndexValues(zeros);
+  // -0.0 and 0.0 share one code.
+  EXPECT_EQ(zeros.GetStats().codes, (std::vector<uint32_t>{2, 1, 1, 1, 0}));
+}
+
+TEST(ColumnTest, NanRowsTakeCodeDistinct) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column col("f", ColumnType::kFloat64);
+  col.AppendBatch({nan, 2.5, nan, -1.0, 2.5});
+  ExpectCodesIndexValues(col);
+  EXPECT_EQ(col.GetStats().codes, (std::vector<uint32_t>{2, 1, 2, 0, 1}));
+  Column all_nan("n", ColumnType::kFloat64);
+  all_nan.AppendBatch({nan, nan});
+  EXPECT_EQ(all_nan.GetStats().codes, (std::vector<uint32_t>{0, 0}));
+  Column empty("e", ColumnType::kInt64);
+  EXPECT_TRUE(empty.GetStats().codes.empty());
+}
+
+TEST(ColumnTest, CodesFollowAppends) {
+  Column col = MakeIntColumn("a", {4, 2});
+  EXPECT_EQ(col.GetStats().codes, (std::vector<uint32_t>{1, 0}));
+  col.Append(3);
+  ExpectCodesIndexValues(col);
+  EXPECT_EQ(col.GetStats().codes, (std::vector<uint32_t>{2, 0, 1}));
+}
+
+TEST(ColumnTest, DictionaryCodesOfAFullDictionaryAreTheRowCodes) {
+  // Every dictionary entry occurs, so the value codes equal the dictionary
+  // codes stored in the rows.
+  const Dictionary dict = Dictionary::FromValues({"pear", "apple", "fig"});
+  Column col("s", ColumnType::kDictString);
+  for (const char* v : {"fig", "pear", "apple", "fig", "pear"}) {
+    col.Append(static_cast<double>(dict.Code(v).value()));
+  }
+  col.SetDictionary(dict);
+  ExpectCodesIndexValues(col);
+  EXPECT_EQ(col.GetStats().codes, (std::vector<uint32_t>{1, 2, 0, 1, 2}));
+}
+
 TEST(ColumnTest, IntegralityByType) {
   EXPECT_TRUE(Column("a", ColumnType::kInt64).integral());
   EXPECT_TRUE(Column("a", ColumnType::kDictString).integral());
